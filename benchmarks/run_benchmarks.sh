@@ -28,16 +28,12 @@
 set -e
 cd "$(dirname "$0")/.."
 
-# When the compiled planner (repro._native) is built, run the replay
-# bench under REPRO_KERNEL=native with the per-backend comparison on:
-# the committed numbers then track the fastest supported configuration
-# and the regression smoke below compares native against native.  An
-# explicit REPRO_KERNEL in the environment wins.
-replay_kernel="${REPRO_KERNEL:-}"
+# When the compiled planner (repro._native) is built — and so runs by
+# default — the replay bench also replays under the Python planner
+# (--compare-backends), so the committed file records both backends.
 replay_flags=""
-if [ -z "$replay_kernel" ] && PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+if PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         python -c "import repro._native" >/dev/null 2>&1; then
-    replay_kernel="native"
     replay_flags="--compare-backends"
 fi
 
@@ -46,16 +42,17 @@ fi
 # fresh run regressed by more than 25%.  Machine-to-machine variance is
 # larger than that, so this only flags regressions against a baseline
 # produced on the same machine — and only when the committed run used
-# the same planner backend (a native run vs a pure-Python baseline is a
-# 2× "improvement" that says nothing about regressions).
+# the planner backend this run resolves to (a native run vs a
+# pure-Python baseline is a 2× "improvement" that says nothing about
+# regressions).
 baseline_wall=""
 if [ -f BENCH_trace_replay.json ]; then
-    baseline_wall=$(python - "$replay_kernel" <<'EOF'
-import json, sys
+    baseline_wall=$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'EOF'
+import json
+from repro.core.sunflow import planner_backend
 data = json.load(open("BENCH_trace_replay.json"))
-expected = "native" if sys.argv[1] == "native" else "python"
 committed = data.get("provenance", {}).get("planner_backend", "python")
-print(data.get("wall_s", "") if committed == expected else "")
+print(data.get("wall_s", "") if committed == planner_backend() else "")
 EOF
     )
 fi
@@ -66,7 +63,7 @@ if [ "$#" -gt 0 ]; then
     baseline_wall=""
 fi
 
-REPRO_KERNEL="$replay_kernel" PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python benchmarks/bench_trace_replay.py $replay_flags "$@"
 
 if [ -n "$baseline_wall" ]; then

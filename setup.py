@@ -1,10 +1,11 @@
 """Build script: the pure-Python package plus the optional native planner.
 
 ``repro._native`` (src/repro/_native.c) is the compiled twin of the
-Sunflow scheduling loop, selected at runtime via ``REPRO_KERNEL=native``.
+Sunflow scheduling loop and the PRT replan transactions, and runs by
+default whenever it is built (``repro.backend`` resolves the choice).
 It is strictly optional: when no C compiler is available the build warns
-and continues, and ``repro.core.sunflow`` transparently falls back to the
-pure-Python loop — every test and benchmark still runs, just slower.
+and continues, and the default backend is the pure-Python loop, with no
+warning — every test and benchmark still runs, just slower.
 
 ``-ffp-contract=off`` is required for correctness, not taste: the planner
 promises reservations bit-identical to the Python loop, and fused
@@ -34,7 +35,7 @@ class optional_build_ext(build_ext):
             warnings.warn(
                 f"could not build optional extension {ext.name} ({exc!r}); "
                 "the pure-Python planner will be used "
-                "(REPRO_KERNEL=native will fall back with a warning)",
+                "(REPRO_KERNEL=native will warn once and do the same)",
                 RuntimeWarning,
             )
 

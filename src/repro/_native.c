@@ -31,7 +31,7 @@
  *     unique, so the selection sequence is identical).
  *
  * `LAYOUT_VERSION` must match `repro.core.prt.PRT_LAYOUT_VERSION`; the
- * dispatcher in `core/sunflow.py` refuses to use a stale build.
+ * backend resolver (`repro/backend.py`) refuses to use a stale build.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -37,12 +37,13 @@ two are differentially fuzzed against each other.
 
 from __future__ import annotations
 
-import os
-import warnings
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.backend import native_available as native_transactions_available
+from repro.backend import native_module
 
 #: Tolerance for floating-point time comparisons throughout the scheduler.
 TIME_EPS = 1e-9
@@ -53,58 +54,9 @@ TIME_EPS = 1e-9
 #: protocol).  Bump this whenever the struct-of-arrays contract changes —
 #: boundary interleaving, typecodes, the ``__slots__`` names, or the
 #: journal/``_ends``/``_ends_sorted`` bookkeeping — so a stale extension
-#: build is refused (``repro.core.sunflow`` falls back to pure Python)
-#: instead of corrupting tables.
+#: build is refused (:mod:`repro.backend` treats it as absent and the
+#: pure-Python twins run) instead of corrupting tables.
 PRT_LAYOUT_VERSION = 1
-
-# Optional compiled transaction kernels (`repro._native`): batched
-# rollback and batched replay implemented directly against the per-port
-# array buffers, one C call per transaction instead of one Python-level
-# bisect/insert (or slice surgery) per reservation.  This gate is
-# independent of the planner's (`repro.core.sunflow`) — the two modules
-# degrade separately, each with its own one-time warning — but enforces
-# the same layout-version contract: a build compiled against a different
-# storage layout is treated as absent.
-try:
-    from repro import _native
-except ImportError:  # pragma: no cover - depends on the build environment
-    _native = None
-if _native is not None and getattr(_native, "LAYOUT_VERSION", None) != PRT_LAYOUT_VERSION:
-    _native = None  # pragma: no cover - stale build artifact
-if _native is not None and not hasattr(_native, "prt_rollback"):
-    _native = None  # pragma: no cover - pre-transaction build artifact
-
-#: Same environment variable :mod:`repro.kernels` dispatches on.
-_BACKEND_ENV = "REPRO_KERNEL"
-
-_warned_native_missing = False
-
-
-def native_transactions_available() -> bool:
-    """True when the compiled PRT transaction kernels are importable and
-    layout-compatible."""
-    return _native is not None
-
-
-def _use_native() -> bool:
-    if os.environ.get(_BACKEND_ENV, "").strip().lower() != "native":
-        return False
-    if _native is None:
-        global _warned_native_missing
-        if not _warned_native_missing:
-            _warned_native_missing = True
-            warnings.warn(
-                "REPRO_KERNEL=native requested but the repro._native "
-                "extension is not available; using the pure-Python PRT "
-                "transaction paths (build it with `python setup.py "
-                "build_ext --inplace` or by installing the package with a "
-                "C compiler present)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return False
-    return True
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class Reservation:
@@ -584,12 +536,13 @@ class PortReservationTable:
         into each boundary array in one pass instead of paying a bisect
         plus three mid-array inserts per reservation.
 
-        Under ``REPRO_KERNEL=native`` the whole transaction (grouping,
-        validation, merge, journal/ends bookkeeping) is one C call into
-        :mod:`repro._native`; the staging there never mutates the table,
-        so on a conflict the call reports failure and this method falls
-        through to the pure-Python twin, which re-derives and raises the
-        byte-identical :class:`PortConflictError`.
+        On the native backend (:mod:`repro.backend`) the whole
+        transaction (grouping, validation, merge, journal/ends
+        bookkeeping) is one C call into :mod:`repro._native`; the staging
+        there never mutates the table, so on a conflict the call reports
+        failure and this method falls through to the pure-Python twin,
+        which re-derives and raises the byte-identical
+        :class:`PortConflictError`.
         """
         n = len(reservations)
         if n == 0:
@@ -597,7 +550,8 @@ class PortReservationTable:
         if n == 1:
             self._insert(reservations[0])
             return
-        if _use_native() and _native.prt_replay(self, reservations, TIME_EPS):
+        native = native_module()
+        if native is not None and native.prt_replay(self, reservations, TIME_EPS):
             return
         self._replay_python(reservations)
 
@@ -736,14 +690,15 @@ class PortReservationTable:
         suffix is dropped with one slice deletion instead of a bisect +
         ``del`` per reservation.
 
-        Under ``REPRO_KERNEL=native`` the whole transaction (per-port
-        counting, tail strips or rebuilds, journal/ends truncation) is
-        one C call; removal involves no float arithmetic, so the two
-        paths are trivially bit-identical.
+        On the native backend (:mod:`repro.backend`) the whole
+        transaction (per-port counting, tail strips or rebuilds,
+        journal/ends truncation) is one C call; removal involves no float
+        arithmetic, so the two paths are trivially bit-identical.
         """
-        if _use_native():
+        native = native_module()
+        if native is not None:
             try:
-                return _native.prt_rollback(self, token)
+                return native.prt_rollback(self, token)
             except OverflowError:
                 # Ports outside the kernel's int32 hashing range; the
                 # kernel scans the whole undone suffix before mutating

@@ -40,81 +40,25 @@ from array import array
 import itertools
 import math
 import operator
-import os
 import random
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
+# planner_backend and native_planner_available are re-exported: callers,
+# the repository benchmark among them, probe them on this module.
+from repro.backend import native_available as native_planner_available
+from repro.backend import native_module, planner_backend
 from repro.core.coflow import Coflow
 from repro.core.demand import PackedDemand
 from repro.core.prt import (
-    PRT_LAYOUT_VERSION,
     PortReservationTable,
     Reservation,
     TIME_EPS,
 )
 from repro.units import DEFAULT_BANDWIDTH, DEFAULT_DELTA
 
-# The optional compiled planner (src/repro/_native.c): the event-driven
-# scheduling loop below, running directly against the PRT's per-port
-# boundary buffers.  Import-time detection — a missing build, or one
-# compiled against a different PRT storage layout, simply leaves the
-# pure-Python loop in charge.
-try:
-    from repro import _native
-except ImportError:  # pragma: no cover - depends on the build environment
-    _native = None
-if _native is not None and getattr(_native, "LAYOUT_VERSION", None) != PRT_LAYOUT_VERSION:
-    _native = None  # pragma: no cover - stale build artifact
-
-#: Same environment variable :mod:`repro.kernels` dispatches on; read
-#: directly (rather than through ``repro.kernels.active_backend``) so the
-#: pure-Python planner keeps working without numpy installed.
-_BACKEND_ENV = "REPRO_KERNEL"
-
 _NAN = float("nan")
-
-_warned_native_missing = False
-
-
-def native_planner_available() -> bool:
-    """True when the compiled planner is importable and layout-compatible."""
-    return _native is not None
-
-
-def planner_backend() -> str:
-    """Which ``schedule_demand`` implementation the current environment
-    selects: ``"native"`` (compiled kernel) or ``"python"``.
-
-    ``REPRO_KERNEL=native`` requests the compiled kernel; when the
-    extension is not built (or was built against a different PRT layout)
-    the answer is ``"python"`` — the fallback is transparent apart from a
-    one-time :class:`RuntimeWarning`.
-    """
-    return "native" if _use_native() else "python"
-
-
-def _use_native() -> bool:
-    # Same normalization as ``repro.kernels.active_backend``; unknown
-    # values are *that* function's job to reject.
-    if os.environ.get(_BACKEND_ENV, "").strip().lower() != "native":
-        return False
-    if _native is None:
-        global _warned_native_missing
-        if not _warned_native_missing:
-            _warned_native_missing = True
-            warnings.warn(
-                "REPRO_KERNEL=native requested but the repro._native "
-                "extension is not available; using the pure-Python planner "
-                "(build it with `python setup.py build_ext --inplace` or by "
-                "installing the package with a C compiler present)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return False
-    return True
 
 
 def _pack_entries(
@@ -458,7 +402,8 @@ class SunflowScheduler:
         established = _normalize_established(established)
         schedule = CoflowSchedule(coflow_id=coflow_id, start_time=start_time)
         perf = self.perf
-        if _use_native():
+        native = native_module()
+        if native is not None:
             # Compiled twin of ``_plan_python``: the same event loop with
             # verbatim float expressions, mutating the same PRT arrays in
             # place through the buffer protocol.
@@ -477,7 +422,7 @@ class SunflowScheduler:
                 # packing on the Python side.
                 srcs, dsts, vals = demand_times.columns
                 t0 = perf_counter()
-                kept = _native.schedule_demand_packed(
+                kept = native.schedule_demand_packed(
                     prt,
                     Reservation,
                     coflow_id,
@@ -510,7 +455,7 @@ class SunflowScheduler:
                 if not packed:
                     return schedule
                 t0 = perf_counter()
-                _native.schedule_demand(
+                native.schedule_demand(
                     prt,
                     Reservation,
                     coflow_id,
@@ -556,7 +501,7 @@ class SunflowScheduler:
 
         Fills ``prt`` and appends to ``reservations`` in place.  The
         compiled kernel (:mod:`repro._native`, selected by
-        ``REPRO_KERNEL=native``) is this loop's bit-identical twin — any
+        :mod:`repro.backend`) is this loop's bit-identical twin — any
         behavioral change here must be mirrored there, and the
         differential suites in ``tests/kernels/test_native_planner.py``
         compare the two reservation-for-reservation.

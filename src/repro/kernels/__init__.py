@@ -20,10 +20,9 @@ float drift where numpy's pairwise summation replaces Python's sequential
 ``sum`` (Sinkhorn line sums), which the schedulers absorb well inside
 their ``1e-9`` duration tolerance.
 
-**Runtime selection.**  ``REPRO_KERNEL=python`` in the environment routes
-the scheduler pipeline through the pure-Python references instead —
-useful for differential debugging and as a numpy-free escape hatch.  The
-default (``REPRO_KERNEL`` unset or ``numpy``) uses the kernels.
+**Runtime selection.**  :mod:`repro.backend` picks the backend (its
+names are re-exported here); every backend but ``python`` uses these
+kernels.
 
 **Packet-simulator kernels.**  :mod:`repro.kernels.allocation` extends
 the layer to the fluid packet simulator: struct-of-arrays flow state
@@ -37,69 +36,20 @@ event sequences and CCT records against the dict-based reference engine
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
 
-#: Environment variable selecting the kernel backend at runtime.
-BACKEND_ENV = "REPRO_KERNEL"
-
-#: Recognized backend names.  ``native`` selects the compiled Sunflow
-#: planner (:mod:`repro._native`) for ``schedule_demand`` and behaves like
-#: ``numpy`` everywhere else; when the extension is not built the planner
-#: falls back to pure Python with a one-time warning (see
-#: :func:`repro.core.sunflow.planner_backend`).
-BACKENDS = ("numpy", "python", "native")
-
-
-def active_backend() -> str:
-    """The backend the scheduler pipeline dispatches to right now.
-
-    Reads ``REPRO_KERNEL`` on every call (it is consulted once per
-    ``schedule()`` call, not in inner loops), so tests and sweeps can flip
-    the backend without reimporting anything — worker processes inherit
-    the variable through the environment.
-
-    Raises:
-        ValueError: if ``REPRO_KERNEL`` names an unknown backend.
-    """
-    value = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if not value:
-        return "numpy"
-    if value not in BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV}={value!r} is not a known kernel backend; "
-            f"expected one of {BACKENDS}"
-        )
-    return value
+from repro.backend import BACKENDS, active_backend, use_backend
+from repro.backend import ENV as BACKEND_ENV
 
 
 def numpy_enabled() -> bool:
     """True when the numpy kernel layer is active.
 
-    The ``native`` backend only swaps the Sunflow planner loop; the
-    scheduler/packet kernels keep their numpy implementations, so every
-    backend except ``python`` enables them.
+    The ``native`` backend only swaps the Sunflow planner and PRT
+    transactions; the scheduler/packet kernels keep their numpy
+    implementations, so every backend except ``python`` enables them.
     """
     return active_backend() != "python"
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily pin the kernel backend (tests and benchmarks)."""
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; expected one of {BACKENDS}")
-    previous = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = previous
 
 
 def as_demand_matrix(matrix) -> np.ndarray:

@@ -80,14 +80,14 @@ def bench_provenance() -> Dict[str, Any]:
 
     Keys:
         ``repro_kernel``
-            The active kernel backend (``REPRO_KERNEL`` resolved through
-            :func:`repro.kernels.active_backend`; the raw value if unknown).
+            The selected backend (:func:`repro.backend.active_backend`).
         ``planner_backend``
-            Which ``schedule_demand`` loop actually runs — ``"native"``
-            only when ``REPRO_KERNEL=native`` *and* the extension is built.
+            Which planner and PRT-transaction loops actually run:
+            ``"native"`` when the extension is built and selected (the
+            default when built), else ``"python"``.
         ``native_extension_available``
-            Whether :mod:`repro._native` imported (independent of whether
-            it is selected).
+            Whether :mod:`repro._native` is built and layout-compatible
+            (independent of whether it is selected).
         ``cpu_count`` / ``python_version`` / ``platform``
             The host context.
         ``peak_rss_bytes``
@@ -95,23 +95,15 @@ def bench_provenance() -> Dict[str, Any]:
             platform cannot report it) — so every committed bench payload
             records memory alongside wall time.
     """
-    # Imported lazily so ``repro.perf`` stays importable without numpy
-    # (repro.kernels imports it eagerly) or the simulation stack.
     import os
     import platform as platform_mod
 
-    from repro.core.sunflow import native_planner_available, planner_backend
+    from repro import backend
 
-    try:
-        from repro.kernels import active_backend
-
-        backend = active_backend()
-    except (ImportError, ValueError):
-        backend = os.environ.get("REPRO_KERNEL", "").strip().lower() or "numpy"
     return {
-        "repro_kernel": backend,
-        "planner_backend": planner_backend(),
-        "native_extension_available": native_planner_available(),
+        "repro_kernel": backend.active_backend(),
+        "planner_backend": backend.planner_backend(),
+        "native_extension_available": backend.native_available(),
         "cpu_count": os.cpu_count(),
         "python_version": platform_mod.python_version(),
         "platform": platform_mod.platform(),

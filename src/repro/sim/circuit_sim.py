@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.backend import native_module
 from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.demand import PackedDemand
 from repro.core.policies import CoflowView, Policy, ShortestFirst
-from repro.core import prt as prt_mod
 from repro.core.prt import (
     PortConflictError,
     PortReservationTable,
@@ -704,14 +704,15 @@ class InterCoflowSimulator:
         cutoff = plan.index_at_or_after(now)
         cid = plan.coflow_id
 
-        if prt_mod._use_native():
+        native = native_module()
+        if native is not None:
             # One C call runs the whole proof (heads, blocked-at-now walk,
             # coverage) against the PRT's array buffers.  It returns the
             # rebuilt heads on success, ``None`` when a proof obligation
             # fails, and ``False`` when it declines (ports outside int64
             # hashing range, foreign reservation types) — only then does
             # the pure-Python twin below run.
-            result = prt_mod._native.transform_continuation(
+            result = native.transform_continuation(
                 prt,
                 Reservation,
                 cid,

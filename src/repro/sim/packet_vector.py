@@ -18,7 +18,7 @@ the last arrival, which bounds its size by the trace's concurrency, not
 its length.
 
 The engine is used by :func:`repro.sim.packet_sim.simulate_packet` only
-when the numpy backend is active (``REPRO_KERNEL`` unset or ``numpy``)
+when the numpy kernels are active (every backend but ``python``)
 *and* the allocator is exactly one of the shipped classes — a subclass
 that overrides ``allocate`` would silently diverge from the vectorized
 twin, so it falls back to the reference engine.

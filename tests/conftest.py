@@ -41,6 +41,17 @@ def small_trace() -> CoflowTrace:
 
 
 @pytest.fixture
+def native_absent(monkeypatch):
+    """The backend resolver sees no compiled extension, with a fresh memo
+    and its once-per-process fallback warning not yet issued."""
+    from repro import backend
+
+    monkeypatch.setattr(backend, "_probe", lambda: None)
+    monkeypatch.setattr(backend, "_resolved", {})
+    monkeypatch.setattr(backend, "_warned", False)
+
+
+@pytest.fixture
 def default_network() -> dict:
     """The paper's default network: B = 1 Gbps, δ = 10 ms."""
     return {"bandwidth_bps": 1 * GBPS, "delta": 10 * MS}

@@ -19,14 +19,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.prt as prt_mod
-from repro.core.prt import PortConflictError, PortReservationTable
+from repro import backend
+from repro.core.prt import (
+    PortConflictError,
+    PortReservationTable,
+    native_transactions_available,
+)
 from repro.core.prt_reference import ReferencePortReservationTable
-
-#: The extension module as imported (possibly ``None``); the churn fuzz
-#: swaps ``prt_mod._native`` between this and ``None`` mid-run to model
-#: a layout-version gate flipping the kernel off.
-_REAL_NATIVE = prt_mod._native
+from repro.core.sunflow import SunflowScheduler
 
 
 def res_key(reservation):
@@ -249,7 +249,7 @@ _TXN_OP = st.one_of(
 )
 
 _TXN_MODES = ["python"] + (
-    ["native", "churn"] if prt_mod.native_transactions_available() else []
+    ["native", "churn"] if native_transactions_available() else []
 )
 
 #: Layout churn cycle: kernel on, kernel off via env, kernel "stale"
@@ -267,14 +267,13 @@ class TestTransactionFuzz:
     @given(ops=st.lists(_TXN_OP, min_size=15, max_size=90))
     def test_batched_transactions_with_compaction(self, mode, ops):
         saved_env = os.environ.get("REPRO_KERNEL")
-        saved_warned = prt_mod._warned_native_missing
-        prt_mod._warned_native_missing = True  # churn mutes the gate warning
+        saved_resolver = (backend._probe, backend._resolved, backend._warned)
+        backend._warned = True  # churn mutes the fallback warning
         os.environ["REPRO_KERNEL"] = "python" if mode == "churn" else mode
         try:
             self._run(mode, ops)
         finally:
-            prt_mod._native = _REAL_NATIVE
-            prt_mod._warned_native_missing = saved_warned
+            backend._probe, backend._resolved, backend._warned = saved_resolver
             if saved_env is None:
                 os.environ.pop("REPRO_KERNEL", None)
             else:
@@ -282,6 +281,7 @@ class TestTransactionFuzz:
 
     @staticmethod
     def _run(mode, ops):
+        real_native = backend._probe()
         fast = PortReservationTable()
         ref = ReferencePortReservationTable()
         tokens = []
@@ -341,7 +341,9 @@ class TestTransactionFuzz:
                 env, kernel_on = _CHURN_STATES[churn % len(_CHURN_STATES)]
                 churn += 1
                 os.environ["REPRO_KERNEL"] = env
-                prt_mod._native = _REAL_NATIVE if kernel_on else None
+                extension = real_native if kernel_on else None
+                backend._probe = lambda: extension
+                backend._resolved = {}
             if step % 30 == 29:
                 rng = random.Random(step)
                 assert_same_state(fast, ref, rng, num_ports=6, horizon=9.5)
@@ -351,13 +353,13 @@ class TestTransactionFuzz:
 
 
 class TestTransactionFallback:
-    def test_missing_kernel_falls_back_with_one_warning(self, monkeypatch):
+    def test_missing_kernel_falls_back_with_one_warning(
+        self, monkeypatch, native_absent
+    ):
         """``REPRO_KERNEL=native`` without the extension: rollback and
         batched replay run the Python twins, warning exactly once."""
-        monkeypatch.setattr(prt_mod, "_native", None)
-        monkeypatch.setattr(prt_mod, "_warned_native_missing", False)
         monkeypatch.setenv("REPRO_KERNEL", "native")
-        assert not prt_mod.native_transactions_available()
+        assert not native_transactions_available()
 
         fast = PortReservationTable()
         ref = ReferencePortReservationTable()
@@ -384,13 +386,16 @@ class TestTransactionFallback:
             w for w in caught if issubclass(w.category, RuntimeWarning)
         ]
         assert len(native_warnings) == 1
-        assert "pure-Python PRT transaction paths" in str(
+        assert "pure-Python planner and PRT transactions" in str(
             native_warnings[0].message
         )
         assert sorted(map(res_key, fast)) == sorted(map(res_key, ref))
 
-        # Once per process, not once per call.
+        # Once per process, not once per call, and shared with the planner.
         with warnings.catch_warnings(record=True) as again:
             warnings.simplefilter("always")
             fast.rollback(fast.checkpoint())
+            SunflowScheduler().schedule_demand(
+                PortReservationTable(), 9, {(0, 1): 1.0, (1, 0): 0.5}
+            )
         assert not [w for w in again if issubclass(w.category, RuntimeWarning)]

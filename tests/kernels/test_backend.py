@@ -1,5 +1,7 @@
 """Backend selection and demand canonicalization (the kernel-layer contract)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.schedulers.base import AssignmentScheduler, canonical_demand, compact
 
 
 class TestBackendSelection:
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_numpy(self, monkeypatch, native_absent):
+        """Without the compiled extension the default is the numpy kernels."""
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert active_backend() == "numpy"
         assert numpy_enabled()
@@ -31,9 +34,11 @@ class TestBackendSelection:
 
     def test_use_backend_restores(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
+        default = active_backend()
         with use_backend("python"):
             assert active_backend() == "python"
-        assert active_backend() == "numpy"
+        assert active_backend() == default
+        assert BACKEND_ENV not in os.environ
 
     def test_use_backend_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -41,8 +46,9 @@ class TestBackendSelection:
                 pass  # pragma: no cover
 
     def test_native_is_a_known_backend(self, monkeypatch):
-        """``native`` swaps only the Sunflow planner; the scheduler/packet
-        kernel layer must treat it exactly like ``numpy``."""
+        """``native`` swaps only the Sunflow planner and PRT transactions;
+        the scheduler/packet kernel layer must treat it exactly like
+        ``numpy``."""
         monkeypatch.setenv(BACKEND_ENV, "native")
         assert active_backend() == "native"
         assert numpy_enabled()

@@ -17,8 +17,9 @@ Covered surfaces:
 * multi-coflow ``schedule_many`` sequences sharing one PRT;
 * end-to-end Fig-6/Fig-10 API cells (intra and inter Sunflow replays)
   and the K-core fabric at K ∈ {2, 4};
-* the graceful-fallback contract: ``REPRO_KERNEL=native`` without the
-  extension runs the Python loop and warns exactly once.
+* the backend resolver's contract: native by default when built; without
+  the extension, the Python loop silently when unset and with exactly one
+  warning under ``REPRO_KERNEL=native``; an unknown value raises.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.sunflow as sunflow_mod
-from repro.core.prt import PortReservationTable
+from repro.core.prt import PortReservationTable, native_transactions_available
 from repro.core.sunflow import (
     ReservationOrder,
     SunflowScheduler,
     native_planner_available,
     planner_backend,
 )
-from repro.kernels import use_backend
+from repro.kernels import active_backend, use_backend
 
 needs_native = pytest.mark.skipif(
     not native_planner_available(),
@@ -243,6 +243,26 @@ class TestPinnedApiCells:
         )
 
 
+def _transaction(demand):
+    """Plan two Coflows on one table, roll the second back and replay it;
+    returns the reservations and the table state, bitwise."""
+    prt = PortReservationTable()
+    scheduler = SunflowScheduler()
+    first = scheduler.schedule_demand(prt, 7, demand)
+    token = prt.checkpoint()
+    second = scheduler.schedule_demand(prt, 8, demand, start_time=0.5)
+    assert prt.rollback(token) == len(second.reservations)
+    prt.replay(second.reservations)
+    return _reservation_keys(first) + _reservation_keys(second), _prt_state(prt)
+
+
+def _runtime_warnings(caught):
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+_DEMAND = {(0, 1): 1.25, (1, 0): 0.5}
+
+
 class TestFallback:
     def test_planner_backend_reporting(self):
         with use_backend("python"):
@@ -251,37 +271,63 @@ class TestFallback:
             with use_backend("native"):
                 assert planner_backend() == "native"
 
-    def test_missing_extension_falls_back_with_one_warning(self, monkeypatch):
-        """Extension artificially absent: REPRO_KERNEL=native plans via the
-        Python loop, bitwise-equal to REPRO_KERNEL=python, warning once."""
-        demand = {(0, 1): 1.25, (1, 0): 0.5}
-        with use_backend("python"):
-            expected_prt = PortReservationTable()
-            expected = SunflowScheduler().schedule_demand(expected_prt, 7, demand)
+    @needs_native
+    def test_default_is_native_when_built(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        assert active_backend() == "native"
+        assert planner_backend() == "native"
+        assert native_transactions_available()
 
-        monkeypatch.setattr(sunflow_mod, "_native", None)
-        monkeypatch.setattr(sunflow_mod, "_warned_native_missing", False)
+    def test_default_without_extension_is_python_silently(
+        self, monkeypatch, native_absent
+    ):
+        """Unset backend, no extension: the Python twins run with no
+        warning, bitwise-equal to REPRO_KERNEL=python."""
+        with use_backend("python"):
+            expected = _transaction(_DEMAND)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert planner_backend() == "python"
+            assert _transaction(_DEMAND) == expected
+        assert not _runtime_warnings(caught)
+
+    def test_missing_extension_falls_back_with_one_warning(
+        self, monkeypatch, native_absent
+    ):
+        """Extension artificially absent: REPRO_KERNEL=native plans, rolls
+        back and replays via the Python twins, bitwise-equal to
+        REPRO_KERNEL=python, with one warning for all of them."""
+        with use_backend("python"):
+            expected = _transaction(_DEMAND)
+
         monkeypatch.setenv("REPRO_KERNEL", "native")
         assert not native_planner_available()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert planner_backend() == "python"  # reports the loop that runs
-            prt = PortReservationTable()
-            schedule = SunflowScheduler().schedule_demand(prt, 7, demand)
-        native_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
+            assert _transaction(_DEMAND) == expected
+        native_warnings = _runtime_warnings(caught)
         assert len(native_warnings) == 1
-        assert "pure-Python planner" in str(native_warnings[0].message)
+        assert "pure-Python planner and PRT transactions" in str(
+            native_warnings[0].message
+        )
 
-        assert _reservation_keys(schedule) == _reservation_keys(expected)
-        assert _prt_state(prt) == _prt_state(expected_prt)
-
-        # The warning is once-per-process, not once-per-call.
+        # The warning is once-per-process, not once-per-call or per spelling.
+        monkeypatch.setenv("REPRO_KERNEL", " Native ")
         with warnings.catch_warnings(record=True) as again:
             warnings.simplefilter("always")
-            SunflowScheduler().schedule_demand(PortReservationTable(), 8, demand)
-        assert not [w for w in again if issubclass(w.category, RuntimeWarning)]
+            _transaction(_DEMAND)
+        assert not _runtime_warnings(again)
+
+    def test_unknown_backend_raises(self, monkeypatch):
+        """A misspelt backend fails loudly instead of planning in Python."""
+        monkeypatch.setenv("REPRO_KERNEL", "natvie")
+        accepted = r"'natvie'.*'numpy', 'python', 'native'"
+        with pytest.raises(ValueError, match=accepted):
+            planner_backend()
+        with pytest.raises(ValueError, match=accepted):
+            SunflowScheduler().schedule_demand(PortReservationTable(), 1, _DEMAND)
 
     def test_layout_version_matches(self):
         if not native_planner_available():

@@ -19,11 +19,12 @@ exact :class:`PortConflictError` text on conflicting replays.
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
-import repro.core.prt as prt_mod
+from repro import backend
 from repro.core.demand import PackedDemand
 from repro.core.prt import (
     TIME_EPS,
@@ -38,6 +39,13 @@ from repro.kernels import use_backend
 needs_native = pytest.mark.skipif(
     not native_transactions_available(),
     reason="repro._native is not built (python setup.py build_ext --inplace)",
+)
+
+#: The compiled extension, called directly by the kernel-level tests.
+_native = (
+    importlib.import_module("repro._native")
+    if native_transactions_available()
+    else None
 )
 
 
@@ -89,7 +97,7 @@ class TestRollbackKernel:
     def test_bitwise_differential(self, seed, fraction):
         a, b, _ = _twin_tables(seed)
         token = int(len(a._reservations) * fraction)
-        undone_native = prt_mod._native.prt_rollback(a, token)
+        undone_native = _native.prt_rollback(a, token)
         undone_python = b._rollback_python(token)
         assert undone_native == undone_python
         assert _bitwise_state(a) == _bitwise_state(b)
@@ -101,14 +109,14 @@ class TestRollbackKernel:
         for undone in (1, 2, 4, 5, 9):
             a, b, _ = _twin_tables(17, steps=40)
             token = max(0, len(a._reservations) - undone)
-            assert prt_mod._native.prt_rollback(a, token) == b._rollback_python(token)
+            assert _native.prt_rollback(a, token) == b._rollback_python(token)
             assert _bitwise_state(a) == _bitwise_state(b)
 
     def test_invalid_token_message_matches_python(self):
         a, b, _ = _twin_tables(5, steps=12)
         for token in (-1, len(a._reservations) + 3):
             with pytest.raises(ValueError) as native_exc:
-                prt_mod._native.prt_rollback(a, token)
+                _native.prt_rollback(a, token)
             with pytest.raises(ValueError) as python_exc:
                 b._rollback_python(token)
             assert str(native_exc.value) == str(python_exc.value)
@@ -118,7 +126,7 @@ class TestRollbackKernel:
     def test_noop_rollback_returns_zero(self):
         a, _, _ = _twin_tables(3, steps=10)
         before = _bitwise_state(a)
-        assert prt_mod._native.prt_rollback(a, len(a._reservations)) == 0
+        assert _native.prt_rollback(a, len(a._reservations)) == 0
         assert _bitwise_state(a) == before
 
 
@@ -135,7 +143,7 @@ class TestReplayKernel:
             pytest.skip("degenerate trace: suffix too small to batch")
         a._rollback_python(token)
         b._rollback_python(token)
-        assert prt_mod._native.prt_replay(a, batch, TIME_EPS) is True
+        assert _native.prt_replay(a, batch, TIME_EPS) is True
         b._replay_python(batch)
         assert _bitwise_state(a) == _bitwise_state(b)
         a.validate()
@@ -152,7 +160,7 @@ class TestReplayKernel:
             Reservation(start=1.5, end=2.0, src=0, dst=1, coflow_id=3, setup=0.05),
             Reservation(start=2.5, end=3.5, src=0, dst=1, coflow_id=4, setup=0.05),
         ]
-        assert prt_mod._native.prt_replay(a, batch, TIME_EPS) is True
+        assert _native.prt_replay(a, batch, TIME_EPS) is True
         b._replay_python(batch)
         assert _bitwise_state(a) == _bitwise_state(b)
 
@@ -167,7 +175,7 @@ class TestReplayKernel:
             Reservation(start=2.5, end=3.0, src=0, dst=2, coflow_id=2, setup=0.05),
             Reservation(start=2.8, end=3.5, src=0, dst=3, coflow_id=3, setup=0.05),
         ]
-        assert prt_mod._native.prt_replay(a, batch, TIME_EPS) is False
+        assert _native.prt_replay(a, batch, TIME_EPS) is False
         assert _bitwise_state(a) == before
         with pytest.raises(PortConflictError) as twin_exc:
             a._replay_python(batch)
@@ -186,7 +194,7 @@ class TestReplayKernel:
             Reservation(start=1.5, end=2.5, src=0, dst=2, coflow_id=2, setup=0.05),
             Reservation(start=6.0, end=7.0, src=3, dst=4, coflow_id=3, setup=0.05),
         ]
-        assert prt_mod._native.prt_replay(a, batch, TIME_EPS) is False
+        assert _native.prt_replay(a, batch, TIME_EPS) is False
         assert _bitwise_state(a) == before
         with pytest.raises(PortConflictError):
             a._replay_python(batch)
@@ -196,7 +204,7 @@ class TestReplayKernel:
         a = PortReservationTable()
         a.reserve(0, 1, 0.0, 1.0, 1, 0.1)
         before = _bitwise_state(a)
-        assert prt_mod._native.prt_replay(a, [object(), object()], TIME_EPS) is False
+        assert _native.prt_replay(a, [object(), object()], TIME_EPS) is False
         assert _bitwise_state(a) == before
 
     def test_out_of_range_ports_fall_back_to_python(self):
@@ -209,7 +217,7 @@ class TestReplayKernel:
         ]
         a = PortReservationTable()
         before = _bitwise_state(a)
-        assert prt_mod._native.prt_replay(a, batch, TIME_EPS) is False
+        assert _native.prt_replay(a, batch, TIME_EPS) is False
         assert _bitwise_state(a) == before
         b = PortReservationTable()
         with use_backend("native"):
@@ -370,7 +378,7 @@ class TestTransformContinuationEndToEnd:
         assert results["python"][1] == results["native"][1]
         assert results["python"][1].get("plans_transformed", 0) > 0
 
-    def test_never_mutates_on_any_outcome(self):
+    def test_never_mutates_on_any_outcome(self, monkeypatch):
         """Whatever the kernel returns — heads, None, or a decline — the
         PRT buffers must be untouched afterwards."""
         import repro.sim.circuit_sim as sim_mod
@@ -380,7 +388,7 @@ class TestTransformContinuationEndToEnd:
             num_ports=10, num_coflows=12, max_width=4, mean_interarrival=0.6, seed=2
         )
         trace = FacebookLikeTraceGenerator(config).generate()
-        native = prt_mod._native.transform_continuation
+        native = _native.transform_continuation
         seen = {"calls": 0}
 
         def checked(*args):
@@ -391,20 +399,18 @@ class TestTransformContinuationEndToEnd:
             seen["calls"] += 1
             return result
 
-        original = prt_mod._native
-        try:
-            class _Proxy:
-                def __getattr__(self, name):
-                    if name == "transform_continuation":
-                        return checked
-                    return getattr(original, name)
+        class _Proxy:
+            def __getattr__(self, name):
+                if name == "transform_continuation":
+                    return checked
+                return getattr(_native, name)
 
-            sim_mod.prt_mod._native = _Proxy()
-            with use_backend("native"):
-                simulator = sim_mod.InterCoflowSimulator(
-                    trace, bandwidth_bps=1e9, delta=0.01
-                )
-                simulator.run()
-        finally:
-            sim_mod.prt_mod._native = original
+        proxy = _Proxy()
+        monkeypatch.setattr(backend, "_probe", lambda: proxy)
+        monkeypatch.setattr(backend, "_resolved", {})
+        with use_backend("native"):
+            simulator = sim_mod.InterCoflowSimulator(
+                trace, bandwidth_bps=1e9, delta=0.01
+            )
+            simulator.run()
         assert seen["calls"] > 0
