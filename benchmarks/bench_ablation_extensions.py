@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.core.prt import PortReservationTable
-from repro.core.sunflow import SunflowScheduler
 from repro.sim import (
     HybridConfig,
     mean,
@@ -25,6 +24,7 @@ from repro.sim import (
     simulate_intra_sunflow,
 )
 from repro.units import MB, MS
+from tests.oracles.sunflow_reference import ReferenceSunflowScheduler
 
 from _utils import emit, header, run_once
 from conftest import BANDWIDTH, DELTA
@@ -43,7 +43,7 @@ def test_ablation_quantization(benchmark):
     def compute():
         rows = []
         for quantum in (None, 100 * MS, 500 * MS):
-            scheduler = SunflowScheduler(delta=DELTA, quantum=quantum)
+            scheduler = ReferenceSunflowScheduler(delta=DELTA, quantum=quantum)
             start = time.perf_counter()
             literal = scheduler.schedule_demand_reference(
                 PortReservationTable(), 1, dict(demand)

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Fluid packet-simulator benchmark (vectorized engine vs reference).
+"""Fluid packet-simulator benchmark (vectorized engine vs dict-based engine).
 
 Standalone CLI (not a pytest bench): replays a 150-port Facebook-like
 trace through the fluid packet simulator under both engines — the
 struct-of-arrays :class:`~repro.sim.packet_vector.VectorPacketSimulator`
-and the dict-based :class:`~repro.sim.packet_sim.ReferencePacketSimulator`
+and the dict-based :class:`~repro.sim.packet_sim.PacketSimulator`
 — for a Varys (SEBF + MADD) scenario and an Aalo (D-CLAS) scenario,
 verifies the event sequences and CCT records are bitwise identical, and
 writes the timing summary plus the packet layer's perf counters to
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
 
     from repro.perf import packet_counters
-    from repro.sim.packet_sim import ReferencePacketSimulator
+    from repro.sim.packet_sim import PacketSimulator
     from repro.sim.packet_vector import VectorPacketSimulator
     from repro.workloads.synthetic import FacebookLikeTraceGenerator
 
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
             counters = packet_counters.snapshot()["counts"]
 
             start = time.perf_counter()
-            reference_sim = ReferencePacketSimulator(
+            reference_sim = PacketSimulator(
                 trace, scenario["allocator"](), bandwidth
             )
             reference_report = reference_sim.run()

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Baseline-scheduler decomposition benchmark (numpy kernels vs references).
+"""Baseline-scheduler decomposition benchmark (numpy kernels vs oracles).
 
 Standalone CLI (not a pytest bench): decomposes one 150-port random
-demand matrix with each baseline scheduler under both kernel backends
-(``REPRO_KERNEL=numpy`` vs ``python``), verifies the schedules are
+demand matrix with each baseline scheduler on the numpy kernels and on
+its pure-Python oracle pipeline (``tests/oracles/schedulers.py``, which
+the script imports from the repository root), verifies the schedules are
 identical (same circuits, durations within 1e-9 relative), and writes the
 timing summary plus the kernel layer's perf counters to
 ``BENCH_schedulers.json`` at the repository root.
@@ -38,7 +39,7 @@ def make_demand(ports: int, density: float, seed: int):
 
 
 def compare_schedules(kernel, reference) -> int:
-    """Count mismatched assignments between the two backends' schedules."""
+    """Count mismatched assignments between the kernel and oracle schedules."""
     if len(kernel.assignments) != len(reference.assignments):
         return abs(len(kernel.assignments) - len(reference.assignments)) + sum(
             1
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.kernels import use_backend
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     from repro.perf import scheduler_counters
     from repro.schedulers import (
         BvnScheduler,
@@ -86,6 +87,7 @@ def main(argv=None) -> int:
         SolsticeScheduler,
         TmsScheduler,
     )
+    from tests.oracles.schedulers import REFERENCE_SCHEDULERS
 
     available = {
         "solstice": SolsticeScheduler,
@@ -116,18 +118,17 @@ def main(argv=None) -> int:
 
     for name in names:
         scheduler = available[name]()
+        oracle = REFERENCE_SCHEDULERS[name]()
 
         scheduler_counters.reset()
-        with use_backend("numpy"):
-            start = time.perf_counter()
-            kernel_schedule = scheduler.schedule(demand, args.ports)
-            kernel_wall = time.perf_counter() - start
+        start = time.perf_counter()
+        kernel_schedule = scheduler.schedule(demand, args.ports)
+        kernel_wall = time.perf_counter() - start
         counters = scheduler_counters.snapshot()["counts"]
 
-        with use_backend("python"):
-            start = time.perf_counter()
-            reference_schedule = scheduler.schedule(demand, args.ports)
-            reference_wall = time.perf_counter() - start
+        start = time.perf_counter()
+        reference_schedule = oracle.schedule(demand, args.ports)
+        reference_wall = time.perf_counter() - start
 
         mismatches = compare_schedules(kernel_schedule, reference_schedule)
         total_mismatches += mismatches
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
 
     if total_mismatches:
         print(
-            f"ERROR: {total_mismatches} schedule mismatches between backends",
+            f"ERROR: {total_mismatches} schedule mismatches between kernels and oracles",
             file=sys.stderr,
         )
         return 1

@@ -28,7 +28,7 @@ def _compare_backends(args, run_trace_replay) -> dict:
     twins, so any divergence is a kernel bug, not noise.
     """
     from repro.core.sunflow import native_planner_available
-    from repro.kernels import use_backend
+    from repro.backend import use_backend
 
     if not native_planner_available():
         return {

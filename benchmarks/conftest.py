@@ -19,8 +19,13 @@ Individual knobs: ``REPRO_TRACE_COFLOWS``, ``REPRO_TRACE_MAX_WIDTH``,
 from __future__ import annotations
 
 import os
+import pathlib
+import sys
 
 import pytest
+
+# Benches that time a pure-Python oracle import it from ``tests/oracles``.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro.sim import (
     simulate_inter_sunflow,

@@ -16,9 +16,8 @@ content-hash them for its result cache.
     )
     report = simulate(spec)
 
-The legacy ``simulate_*`` functions keep working unchanged (now with
-:class:`DeprecationWarning` shims on their historical keyword spellings —
-see :mod:`repro.compat`).
+The ``simulate_*`` functions it dispatches to stay public and take the
+same canonical ``bandwidth_bps``/``delta`` keywords.
 """
 
 from repro.api.facade import simulate
@@ -34,7 +33,6 @@ from repro.api.spec import (
     spec_from_payload,
     spec_to_payload,
 )
-from repro.compat import LEGACY_KEYWORD_ALIASES, canonical_kwargs
 
 __all__ = [
     "simulate",
@@ -48,6 +46,4 @@ __all__ = [
     "override_spec",
     "spec_from_payload",
     "spec_to_payload",
-    "LEGACY_KEYWORD_ALIASES",
-    "canonical_kwargs",
 ]

@@ -1,16 +1,16 @@
 """The one kernel-backend switch, ``REPRO_KERNEL``, read only here.
 
 The Sunflow planner and the PRT replan transactions have a compiled twin
-in :mod:`repro._native`, and the baseline schedulers and the packet
-simulator have numpy kernels (:mod:`repro.kernels`).  Each pair is
-bitwise identical, so the backend changes speed, never results.
+in :mod:`repro._native`; the pair is bitwise identical, so the backend
+changes speed, never results.  The switch picks only that pair: the
+baseline schedulers and the packet simulator always run their numpy
+kernels (:mod:`repro.kernels`), whose pure-Python twins are test oracles.
 
 =============  ========================================================
-unset/empty    ``native`` if the extension is built, else ``numpy``
-``native``     the extension plus the numpy kernels; without it, the
-               Python twins and one :class:`RuntimeWarning` per process
-``numpy``      numpy kernels, pure-Python planner and PRT transactions
-``python``     every layer on its pure-Python reference
+unset/empty    ``native`` if the extension is built, else ``python``
+``native``     the extension; without it, the Python twins and one
+               :class:`RuntimeWarning` per process
+``python``     the pure-Python planner and PRT transactions
 other          :class:`ValueError` naming the accepted values
 =============  ========================================================
 
@@ -34,7 +34,7 @@ from typing import Dict, Iterator, Optional, Tuple
 ENV = "REPRO_KERNEL"
 
 #: Accepted values besides unset/empty.
-BACKENDS = ("numpy", "python", "native")
+BACKENDS = ("python", "native")
 
 #: Functions the compiled extension must export to be used at all.
 ENTRY_POINTS = (
@@ -77,11 +77,11 @@ def _resolve(raw: Optional[str]) -> Tuple[str, Optional[ModuleType]]:
             f"{ENV}={name!r} is not a known kernel backend; "
             f"expected one of {BACKENDS} or unset"
         )
-    if name in ("numpy", "python"):
+    if name == "python":
         return name, None
     extension = _probe()
     if not name:
-        return ("numpy", None) if extension is None else ("native", extension)
+        return ("python", None) if extension is None else ("native", extension)
     if extension is None and not _warned:
         _warned = True
         warnings.warn(
@@ -104,10 +104,10 @@ def _current() -> Tuple[str, Optional[ModuleType]]:
 
 
 def active_backend() -> str:
-    """The selected backend: ``"native"``, ``"numpy"`` or ``"python"``.
+    """The selected backend: ``"native"`` or ``"python"``.
 
-    ``"native"`` also when requested without the extension (the numpy
-    kernels still run; :func:`planner_backend` says which planner does).
+    ``"native"`` also when requested without the extension
+    (:func:`planner_backend` says which planner runs).
 
     Raises:
         ValueError: if ``REPRO_KERNEL`` names an unknown backend.

@@ -26,11 +26,9 @@ Three coflow-to-core placement policies are provided, registered in
   proportionally to core bandwidth, so each core sees an identically
   shaped ``1/K`` workload and single-core Sunflow's 2× guarantee carries
   over against the K-core bound directly.
-* ``"first-fit"`` — flow-level spreading (the repository's historical
-  ``MultiSwitchSunflow`` demo, promoted): Algorithm 1 generalized so
+* ``"first-fit"`` — flow-level spreading: Algorithm 1 generalized so
   MakeReservation tries each core in index order and reserves on the
-  first whose ports are free and whose gap fits.  Greedy and intra-only;
-  kept as the legacy-compatible baseline.
+  first whose ports are free and whose gap fits.  Greedy and intra-only.
 
 Every policy degenerates *exactly* to single-switch Sunflow at ``K = 1``
 — the differential suites pin that bitwise, through the planner here and
@@ -185,7 +183,7 @@ MULTICORE_POLICIES: Dict[str, MulticorePolicy] = {
             supports_inter=False,
             description=(
                 "flow-level spreading: reserve on the first core whose "
-                "ports are free and whose gap fits (legacy multiswitch)"
+                "ports are free and whose gap fits"
             ),
         ),
     )
@@ -322,11 +320,6 @@ class CoreReservation:
     core: int
     reservation: Reservation
 
-    @property
-    def plane(self) -> int:
-        """Historical name from the multiswitch demo (plane == core)."""
-        return self.core
-
 
 @dataclass
 class MultiCoreSchedule:
@@ -355,9 +348,6 @@ class MultiCoreSchedule:
         for item in self.reservations:
             counts[item.core] = counts.get(item.core, 0) + 1
         return counts
-
-    # Historical spelling from the multiswitch demo.
-    per_plane_counts = per_core_counts
 
 
 # ----------------------------------------------------------------------

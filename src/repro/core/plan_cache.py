@@ -15,21 +15,23 @@ up (the repository benchmark's per-layer trace wraps ``fetch`` and
 
 from __future__ import annotations
 
+import warnings
 from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.compat import deprecated_entry_point
 from repro.core.prt import PortReservationTable, Reservation
 
 
 class PlanCache:
     """Deprecated: a plan cache that always misses."""
 
-    @deprecated_entry_point(
-        "the plan cache was removed; incremental replanning "
-        "(InterCoflowSimulator(incremental=True)) is the only plan reuse"
-    )
     def __init__(self) -> None:
-        pass
+        warnings.warn(
+            "PlanCache is deprecated: the plan cache was removed, and "
+            "incremental replanning (InterCoflowSimulator(incremental=True)) "
+            "is the only plan reuse",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     def fetch(
         self,

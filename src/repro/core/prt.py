@@ -30,9 +30,9 @@ are materialized from the journal only for the plan-facing API
 (:meth:`reserve` returns the object recorded in a Coflow's plan,
 :meth:`reservations_for_input` and friends rebuild views on demand).
 
-The pre-array implementation is retained as
-:class:`repro.core.prt_reference.ReferencePortReservationTable` and the
-two are differentially fuzzed against each other.
+The pre-array implementation is a test oracle
+(``ReferencePortReservationTable`` in ``tests/oracles/prt_reference.py``)
+and the two are differentially fuzzed against each other.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ entry's feasibility (both ports free, gap ≥ δ) can only change when a
 reservation on one of *its own* ports is released, so entries wait in
 per-port pending sets and are re-attempted — in the same global
 consideration order — exactly when one of their ports frees up.  The
-literal pseudocode is kept as :func:`schedule_demand_reference` and the
-test suite checks the two produce identical reservations.
+literal pseudocode is a test oracle (``tests/oracles/sunflow_reference.py``)
+and the test suite checks the two produce identical reservations.
 """
 
 from __future__ import annotations
@@ -540,7 +540,8 @@ class SunflowScheduler:
 
         # The loop below is the hottest code in the repository: every
         # binding it touches per examination is a local.  ``examine`` is
-        # ``_make_reservation`` inlined — the covering probes, the
+        # MakeReservation of the literal Algorithm 1 (the test oracle's
+        # ``_make_reservation``) inlined — the covering probes, the
         # ``_next_start`` pair behind ``next_reserved_time``, and the
         # journal insert all run against the PRT's raw per-port boundary
         # arrays (same package; the layout is the module contract of
@@ -915,42 +916,6 @@ class SunflowScheduler:
         return self.schedule_many(demands, start_time=start_time)
 
     # ------------------------------------------------------------------
-    # Reference implementation (literal Algorithm 1; used by tests)
-    # ------------------------------------------------------------------
-    def schedule_demand_reference(
-        self,
-        prt: PortReservationTable,
-        coflow_id: int,
-        demand_times: Mapping[Tuple[int, int], float],
-        start_time: float = 0.0,
-        established: "EstablishedCircuits" = frozenset(),
-    ) -> CoflowSchedule:
-        """Literal transcription of Algorithm 1 (quadratic rescan loop).
-
-        Produces the same reservations as :meth:`schedule_demand`; kept for
-        validation and as executable documentation of the pseudocode.
-        """
-        established = _normalize_established(established)
-        entries = self._make_entries(demand_times)
-        schedule = CoflowSchedule(coflow_id=coflow_id, start_time=start_time)
-        t = start_time
-        while entries:
-            for entry in entries:
-                entry.remaining = self._make_reservation(
-                    prt, schedule, entry, t, start_time, established
-                )
-            entries = [e for e in entries if e.remaining > TIME_EPS]
-            if not entries:
-                break
-            next_t = prt.next_release_after(t)
-            if next_t is None:
-                raise RuntimeError(
-                    f"coflow {coflow_id}: demand left but no future release"
-                )
-            t = next_t
-        return schedule
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _quantize(self, seconds: float) -> float:
@@ -968,82 +933,3 @@ class SunflowScheduler:
             self._rng,
             quantize=None if self.quantum is None else self._quantize,
         )
-
-    def _make_reservation(
-        self,
-        prt: PortReservationTable,
-        schedule: CoflowSchedule,
-        entry: _Entry,
-        t: float,
-        start_time: float,
-        established: Mapping[Tuple[int, int], Tuple[float, Optional[float]]],
-    ) -> float:
-        """Algorithm 1, MakeReservation: try to reserve for one entry at ``t``.
-
-        Returns the remaining processing time after the reservation (the
-        unchanged remaining time if no reservation could be made).
-        """
-        # Scalar covering probes: one bisect over raw boundary doubles, no
-        # Reservation materialized.  A covered port stays covered until the
-        # blocking reservation ends; any attempt strictly before that is
-        # guaranteed to land here again, so the entry waits out that port.
-        if prt.input_covering_end(entry.src, t) is not None:
-            entry.blocked_key = entry.src * 2
-            return entry.remaining
-        if prt.output_covering_end(entry.dst, t) is not None:
-            entry.blocked_key = entry.dst * 2 + 1
-            return entry.remaining
-
-        # A circuit already configured (or mid-setup) for this flow at the
-        # schedule origin only pays its remaining setup if we keep using it
-        # from that same instant.
-        anchor: Optional[float] = None
-        reuse = (
-            abs(t - start_time) <= TIME_EPS
-            and (entry.src, entry.dst) in established
-        )
-        if reuse:
-            setup_left, anchor = established[(entry.src, entry.dst)]
-            setup = min(self.delta, setup_left)
-        else:
-            setup = self.delta
-
-        t_next = prt.next_reserved_time(entry.src, entry.dst, t)
-        max_length = t_next - t
-        desired_length = setup + entry.remaining
-        if max_length <= setup + TIME_EPS:
-            # The gap cannot fit even the reconfiguration: reserving would
-            # transmit nothing, so skip (Algorithm 1 line 19, lm < δ).
-            # The gap only shrinks as t advances toward ``t_next``, and the
-            # blocking reservation then covers the port until it ends — so
-            # no attempt before that end can succeed either.
-            _, on_input = prt.release_of_block(entry.src, entry.dst, t, t_next)
-            entry.blocked_key = entry.src * 2 if on_input else entry.dst * 2 + 1
-            return entry.remaining
-        if desired_length < max_length:
-            length = desired_length
-            end = t + length
-            if anchor is not None and abs(end - anchor) <= TIME_EPS:
-                # An uninterrupted continuation of an already-planned
-                # circuit: land on the previously planned end exactly, so
-                # replanning the same state reproduces the same
-                # reservation bit-for-bit instead of drifting by float
-                # re-association.
-                end = anchor
-        else:
-            # Truncated (or exactly fitting) reservation: land exactly on
-            # the blocking reservation's start — ``t + (t_next - t)`` can
-            # drift from ``t_next`` by an ulp, and downstream plans key on
-            # these endpoints bitwise.
-            length = max_length
-            end = t_next
-        reservation = prt.reserve(
-            entry.src,
-            entry.dst,
-            start=t,
-            end=end,
-            coflow_id=schedule.coflow_id,
-            setup=setup,
-        )
-        schedule.reservations.append(reservation)
-        return desired_length - length

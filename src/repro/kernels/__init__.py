@@ -8,48 +8,30 @@ decompositions.  This package is the numpy-backed implementation of that
 substrate; demand matrices flow through it as contiguous ``float64``
 ndarrays, canonicalized once at the boundary by :func:`as_demand_matrix`.
 
-**Backend contract.**  Every kernel has a pure-Python twin retained in the
-``repro.matching.*_reference`` modules (the implementations that shipped
-before this layer, kept verbatim as behavioural oracles — the
-``ReferencePortReservationTable`` pattern).  The kernels follow the
-reference algorithms step for step, including iteration order and
-tie-breaking, so both sides emit *identical* assignments; differential
-tests in ``tests/kernels/`` enforce this on random sparse, skewed, and
-doubly-stochastic matrices.  The only tolerated divergence is last-ulp
-float drift where numpy's pairwise summation replaces Python's sequential
-``sum`` (Sinkhorn line sums), which the schedulers absorb well inside
-their ``1e-9`` duration tolerance.
-
-**Runtime selection.**  :mod:`repro.backend` picks the backend (its
-names are re-exported here); every backend but ``python`` uses these
-kernels.
+**Oracle contract.**  Every kernel has a pure-Python twin in
+``tests/oracles/*_reference.py`` (the implementations that shipped
+before this layer, kept verbatim as behavioural oracles).  The kernels
+follow the reference algorithms step for step, including iteration
+order and tie-breaking, so both sides emit *identical* assignments;
+the differential tests in ``tests/kernels/`` enforce this on random
+sparse, skewed, and doubly-stochastic matrices and on whole scheduler
+runs.  The runtime has one implementation per layer: these kernels run
+under every ``REPRO_KERNEL`` value (that switch picks only the Sunflow
+planner, see :mod:`repro.backend`).
 
 **Packet-simulator kernels.**  :mod:`repro.kernels.allocation` extends
 the layer to the fluid packet simulator: struct-of-arrays flow state
 (``FlowArrays``) with vectorized Varys MADD, Aalo D-CLAS, completion
-search, and drain passes, dispatched by
-:func:`repro.sim.packet_sim.simulate_packet` on the same backend switch.
+search, and drain passes, run by
+:func:`repro.sim.packet_sim.simulate_packet` for the stock allocators.
 Unlike the scheduler kernels these promise *strictly* bitwise-identical
-event sequences and CCT records against the dict-based reference engine
-— no tolerated drift.
+event sequences and CCT records against the dict-based
+:class:`~repro.sim.packet_sim.PacketSimulator` — no tolerated drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.backend import BACKENDS, active_backend, use_backend
-from repro.backend import ENV as BACKEND_ENV
-
-
-def numpy_enabled() -> bool:
-    """True when the numpy kernel layer is active.
-
-    The ``native`` backend only swaps the Sunflow planner and PRT
-    transactions; the scheduler/packet kernels keep their numpy
-    implementations, so every backend except ``python`` enables them.
-    """
-    return active_backend() != "python"
 
 
 def as_demand_matrix(matrix) -> np.ndarray:
@@ -81,7 +63,7 @@ from repro.kernels.assignment import (  # noqa: E402
     max_weight_matching,
     min_cost_assignment,
 )
-from repro.kernels.decomposition import birkhoff_von_neumann  # noqa: E402
+from repro.kernels.decomposition import BvnTerm, birkhoff_von_neumann  # noqa: E402
 from repro.kernels.matching import SupportMatcher, matching_from_matrix  # noqa: E402
 from repro.kernels.matrix import (  # noqa: E402
     has_equal_line_sums,
@@ -91,11 +73,6 @@ from repro.kernels.matrix import (  # noqa: E402
 )
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
-    "active_backend",
-    "numpy_enabled",
-    "use_backend",
     "as_demand_matrix",
     "line_sums",
     "has_equal_line_sums",
@@ -106,5 +83,6 @@ __all__ = [
     "min_cost_assignment",
     "max_weight_assignment",
     "max_weight_matching",
+    "BvnTerm",
     "birkhoff_von_neumann",
 ]

@@ -1,4 +1,4 @@
-"""Hungarian assignment kernel (vectorized twin of ``hungarian``).
+"""Hungarian assignment kernel (vectorized twin of the Hungarian oracle).
 
 The reference is the classic JV shortest-augmenting-path formulation with
 an O(n) Python scan over columns per Dijkstra step.  The kernel keeps the

@@ -1,6 +1,14 @@
-"""Birkhoff–von-Neumann decomposition kernel (twin of ``birkhoff``).
+"""Birkhoff–von-Neumann decomposition kernel.
 
-The reference rebuilds a Python adjacency dict from the full matrix for
+The Birkhoff theorem: every doubly stochastic matrix is a convex
+combination of permutation matrices.  The constructive decomposition —
+repeatedly extract a perfect matching over the positive support, weight
+it by the minimum matched entry, subtract, repeat — terminates in at
+most ``(n-1)² + 1`` terms because each step zeroes at least one entry.
+It is the engine of the TMS and BvN baseline schedulers.
+
+The pure-Python oracle (``tests/oracles/birkhoff_reference.py``)
+rebuilds a Python adjacency dict from the full matrix for
 every extracted permutation — O(n²) work per term against the
 ``(n−1)² + 1`` terms a dense 150×150 TMS matrix produces.  The kernel
 threads one :class:`~repro.kernels.matching.SupportMatcher` through the
@@ -25,25 +33,42 @@ Bitwise parity with the reference:
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
 from repro.kernels.matching import SupportMatcher
 from repro.kernels.matrix import sequential_line_sums
-from repro.matching.birkhoff_reference import BvnTerm
 from repro.perf import scheduler_counters
 
 #: Entries below this fraction of the matrix scale are treated as zero
-#: (mirrors ``birkhoff._ZERO_TOLERANCE``).
+#: (mirrors the oracle's ``_ZERO_TOLERANCE``).
 _ZERO_TOLERANCE = 1e-12
+
+
+@dataclass(frozen=True)
+class BvnTerm:
+    """One term of the decomposition: ``weight × permutation``.
+
+    ``permutation`` maps row (input port) to column (output port).
+    """
+
+    weight: float
+    permutation: Dict[int, int]
 
 
 def birkhoff_von_neumann(matrix, max_terms: int = 0) -> List[BvnTerm]:
     """Decompose a matrix with equal line sums into weighted permutations.
 
-    Kernel twin of ``birkhoff.birkhoff_von_neumann``: same gate, same
-    tolerances, same crumb-break behaviour, same terms.
+    Twin of the oracle's ``birkhoff_von_neumann``: same gate, same
+    tolerances, same crumb-break behaviour, same terms.  Callers with
+    arbitrary demand stuff first (:func:`repro.kernels.matrix.quick_stuff`
+    or Sinkhorn); ``max_terms`` caps the term count (0 = no cap).
+
+    Raises:
+        ValueError: if line sums are unequal, or no perfect matching
+            exists over the positive entries before the matrix drains.
     """
     work = np.array(matrix, dtype=np.float64)
     if work.ndim != 2 and work.size == 0:

@@ -1,4 +1,4 @@
-"""Perfect-matching kernel over ndarray support (twin of ``hopcroft_karp``).
+"""Perfect-matching kernel over ndarray support (Hopcroft–Karp twin).
 
 The BvN decomposition extracts one perfect matching per term — up to
 ``(n−1)² + 1`` of them for a dense 150×150 matrix — and the reference

@@ -1,4 +1,4 @@
-"""Demand-matrix stuffing kernels (vectorized twin of ``stuffing_reference``).
+"""Demand-matrix stuffing kernels (twin of the ``stuffing_reference`` oracle).
 
 ``quick_stuff`` is bit-for-bit identical to the reference: line sums are
 computed with Python's sequential ``sum`` (pairwise summation would drift

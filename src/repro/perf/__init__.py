@@ -16,7 +16,7 @@
 * :data:`packet_counters` — process-wide counters for the fluid packet
   simulators (``rate_reallocations``, ``allocator_passes``,
   ``flows_active_peak``, ``events_processed``), incremented identically
-  by the reference and array-backed engines and surfaced in
+  by the dict-based and array-backed engines and surfaced in
   ``BENCH_packet_sim.json``.
 """
 

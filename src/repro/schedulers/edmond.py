@@ -21,7 +21,6 @@ from typing import List, Mapping
 
 import numpy as np
 
-from repro.kernels import numpy_enabled
 from repro.kernels.assignment import max_weight_matching as _matching_kernel
 from repro.schedulers.base import (
     Assignment,
@@ -56,24 +55,20 @@ class EdmondScheduler(AssignmentScheduler):
         matrix, src_labels, dst_labels = compact_demand(demand_times)
         if matrix.size == 0:
             return AssignmentSchedule(assignments=[])
-        if numpy_enabled():
-            return AssignmentSchedule(
-                assignments=self._slots_kernel(matrix, src_labels, dst_labels)
-            )
         return AssignmentSchedule(
-            assignments=self._slots_reference(
-                matrix.tolist(), src_labels, dst_labels
-            )
+            assignments=self._slots(matrix, src_labels, dst_labels)
         )
 
-    def _slots_kernel(
+    def _slots(
         self, matrix: np.ndarray, src_labels: List[int], dst_labels: List[int]
     ) -> List[Assignment]:
-        """Slot loop over an ndarray (kernel backend).
+        """Slot loop over an ndarray.
 
-        Twin of :meth:`_slots_reference`: the per-slot O(n²) Python scan
-        for remaining demand becomes one vectorized comparison and the
-        drain update touches only the matched cells.
+        Twin of the oracle's pure-Python slot loop: the per-slot O(n²)
+        scan for remaining demand becomes one vectorized comparison and
+        the drain update touches only the matched cells.  Circuits whose
+        demand drains early idle for the rest of the fixed slot — the
+        head-of-line inefficiency the paper attributes to this family.
         """
         work = matrix.copy()
         assignments: List[Assignment] = []
@@ -92,35 +87,4 @@ class EdmondScheduler(AssignmentScheduler):
             values = work[rows, cols] - self.slot_duration
             np.maximum(values, 0.0, out=values)
             work[rows, cols] = values
-        return assignments
-
-    def _slots_reference(
-        self,
-        matrix: List[List[float]],
-        src_labels: List[int],
-        dst_labels: List[int],
-    ) -> List[Assignment]:
-        """Slot loop on the retained pure-Python path."""
-        from repro.matching.hungarian_reference import max_weight_matching
-
-        work = [row[:] for row in matrix]
-        assignments: List[Assignment] = []
-        while True:
-            remaining_entries = [v for row in work for v in row if v > _ZERO]
-            if not remaining_entries:
-                break
-            matching = max_weight_matching(work)
-            if not matching:
-                break
-            # The slot length is fixed outside the algorithm: circuits whose
-            # demand drains early idle for the rest of the slot — the
-            # head-of-line inefficiency the paper attributes to this family.
-            circuits = tuple(
-                (src_labels[i], dst_labels[j]) for i, j in sorted(matching.items())
-            )
-            assignments.append(
-                Assignment(circuits=circuits, duration=self.slot_duration)
-            )
-            for i, j in matching.items():
-                work[i][j] = max(0.0, work[i][j] - self.slot_duration)
         return assignments

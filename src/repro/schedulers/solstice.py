@@ -16,11 +16,10 @@ smallest positive entry, so the emitted schedule covers the demand exactly.
 This mirrors Solstice's long tail of short slots (and is what produces the
 many switching events Figure 5 counts).
 
-The pipeline runs on the numpy kernel layer (:mod:`repro.kernels`) by
-default — demand stays a ``float64`` ndarray from :func:`compact_demand`
-through stuffing, matching, and the BvN tail — and falls back to the
-retained pure-Python references when ``REPRO_KERNEL=python``.  Both paths
-emit identical schedules (the differential tests assert it).
+The pipeline runs on the numpy kernel layer (:mod:`repro.kernels`) —
+demand stays a ``float64`` ndarray from :func:`compact_demand` through
+stuffing, matching, and the BvN tail.  The differential tests hold it to
+the pure-Python oracle pipeline, which overrides :meth:`_slices`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import List, Mapping
 
 import numpy as np
 
-from repro.kernels import numpy_enabled
 from repro.kernels.decomposition import birkhoff_von_neumann as _bvn_kernel
 from repro.kernels.matching import matching_from_matrix as _matching_kernel
 from repro.kernels.matrix import quick_stuff as _quick_stuff_kernel
@@ -71,14 +69,7 @@ class SolsticeScheduler(AssignmentScheduler):
         matrix, src_labels, dst_labels = compact_demand(demand_times)
         if matrix.size == 0:
             return AssignmentSchedule(assignments=[])
-        if numpy_enabled():
-            stuffed, _dummy = _quick_stuff_kernel(matrix)
-            assignments = _big_slice_kernel(stuffed, self.tail_fraction)
-        else:
-            from repro.matching.stuffing_reference import quick_stuff
-
-            stuffed_list, _dummy = quick_stuff(matrix.tolist())
-            assignments = _big_slice_reference(stuffed_list, self.tail_fraction)
+        assignments = self._slices(matrix)
         scheduler_counters.inc("slices_emitted", len(assignments))
         return AssignmentSchedule(
             assignments=[
@@ -86,6 +77,11 @@ class SolsticeScheduler(AssignmentScheduler):
                 for assignment in assignments
             ]
         )
+
+    def _slices(self, matrix: np.ndarray) -> List[Assignment]:
+        """QuickStuff + BigSlice over the compact demand matrix."""
+        stuffed, _dummy = _quick_stuff_kernel(matrix)
+        return _big_slice_kernel(stuffed, self.tail_fraction)
 
 
 def _initial_threshold(peak: float) -> float:
@@ -99,12 +95,12 @@ def _initial_threshold(peak: float) -> float:
 
 
 def _big_slice_kernel(stuffed: np.ndarray, tail_fraction: float) -> List[Assignment]:
-    """Threshold-halving decomposition over an ndarray (kernel backend).
+    """Threshold-halving decomposition over an ndarray.
 
-    Step-for-step twin of :func:`_big_slice_reference`: same thresholds,
-    same matchings (the kernel matcher reproduces the reference
-    Hopcroft–Karp), same subtractions — only the per-iteration O(n²)
-    Python scans become vectorized reductions.
+    Step-for-step twin of the oracle's pure-Python BigSlice: same
+    thresholds, same matchings (the kernel matcher reproduces the
+    reference Hopcroft–Karp), same subtractions — only the per-iteration
+    O(n²) Python scans become vectorized reductions.
     """
     work = stuffed.copy()
     peak = float(work.max()) if work.size else 0.0
@@ -151,55 +147,6 @@ def _bvn_tail_kernel(work: np.ndarray, zero: float) -> List[Assignment]:
             tail.append(Assignment(circuits=circuits, duration=term.weight))
     work[:] = 0.0
     return tail
-
-
-def _big_slice_reference(
-    stuffed: List[List[float]], tail_fraction: float
-) -> List[Assignment]:
-    """Threshold-halving decomposition (retained pure-Python path)."""
-    from repro.matching.birkhoff_reference import birkhoff_von_neumann
-    from repro.matching.hopcroft_karp_reference import matching_from_matrix
-
-    work = [row[:] for row in stuffed]
-    peak = max((value for row in work for value in row), default=0.0)
-    if peak <= 0:
-        return []
-    zero = peak * _ZERO_FRACTION
-    tail_threshold = peak * tail_fraction
-    threshold = _initial_threshold(peak)
-
-    assignments: List[Assignment] = []
-    while True:
-        positive = [value for row in work for value in row if value > zero]
-        if not positive:
-            break
-        smallest = min(positive)
-        if threshold <= smallest or threshold <= tail_threshold:
-            # Exact tail drain: BvN pulls out perfect matchings weighted by
-            # the minimum matched entry, terminating with full coverage.
-            residual_total = sum(sum(row) for row in work)
-            if residual_total > zero:
-                for term in birkhoff_von_neumann(work):
-                    if term.weight > zero:
-                        circuits = tuple(sorted(term.permutation.items()))
-                        assignments.append(
-                            Assignment(circuits=circuits, duration=term.weight)
-                        )
-            for row in work:
-                for j in range(len(row)):
-                    row[j] = 0.0
-            break
-        matching = matching_from_matrix(work, threshold=threshold - zero)
-        if matching is None:
-            threshold /= 2.0
-            continue
-        circuits = tuple(sorted(matching.items()))
-        assignments.append(Assignment(circuits=circuits, duration=threshold))
-        for i, j in matching.items():
-            work[i][j] -= threshold
-            if work[i][j] < zero:
-                work[i][j] = 0.0
-    return assignments
 
 
 def _relabel(

@@ -16,13 +16,11 @@ else.  For sparse Coflows the waste is dramatic (a single flow receives a
 ``1/n`` share, so TMS spends ``n×`` the needed time), which is exactly why
 the paper finds TMS ≈ 2× slower than Solstice.
 
-The pipeline runs on the numpy kernel layer by default (ndarray demand
-from :func:`compact_demand` through Sinkhorn, BvN, and the week stretch)
-and falls back to the retained pure-Python references when
-``REPRO_KERNEL=python``.  The kernel Sinkhorn may differ from the
-reference by an ulp (numpy pairwise summation), so TMS durations carry a
-1e-9 relative tolerance in the differential tests; assignments are
-identical.
+The pipeline runs on the numpy kernel layer (ndarray demand from
+:func:`compact_demand` through Sinkhorn, BvN, and the week stretch).
+The differential tests hold it to the pure-Python oracle pipeline,
+which overrides :meth:`TmsScheduler._decompose`; TMS durations carry a
+1e-9 relative tolerance there, and assignments are identical.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import List, Mapping, Tuple
 
 import numpy as np
 
-from repro.kernels import numpy_enabled
 from repro.kernels.decomposition import birkhoff_von_neumann as _bvn_kernel
 from repro.kernels.matrix import sinkhorn_scale as _sinkhorn_kernel
 from repro.schedulers.base import (
@@ -72,10 +69,7 @@ class TmsScheduler(AssignmentScheduler):
         matrix, src_labels, dst_labels = compact_demand(demand_times)
         if matrix.size == 0:
             return AssignmentSchedule(assignments=[])
-        if numpy_enabled():
-            terms, week = self._decompose_kernel(matrix)
-        else:
-            terms, week = self._decompose_reference(matrix.tolist())
+        terms, week = self._decompose(matrix)
         assignments: List[Assignment] = []
         for term in terms:
             duration = term.weight * week
@@ -102,8 +96,8 @@ class TmsScheduler(AssignmentScheduler):
                 )
         return AssignmentSchedule(assignments=assignments)
 
-    def _decompose_kernel(self, matrix: np.ndarray) -> Tuple[list, float]:
-        """Sinkhorn + BvN + week stretch over ndarrays (kernel backend)."""
+    def _decompose(self, matrix: np.ndarray) -> Tuple[list, float]:
+        """Sinkhorn + BvN + week stretch over ndarrays."""
         peak = float(matrix.max())
         if peak <= _ZERO:
             return [], 0.0
@@ -117,24 +111,3 @@ class TmsScheduler(AssignmentScheduler):
         mask = matrix > _ZERO
         week = float((matrix[mask] / stochastic[mask]).max()) if mask.any() else 0.0
         return _bvn_kernel(stochastic), week
-
-    def _decompose_reference(self, matrix: List[List[float]]) -> Tuple[list, float]:
-        """Sinkhorn + BvN + week stretch on the retained pure-Python path."""
-        from repro.matching.birkhoff_reference import birkhoff_von_neumann
-        from repro.matching.stuffing_reference import sinkhorn_scale
-
-        peak = max(max(row) for row in matrix)
-        if peak <= _ZERO:
-            return [], 0.0
-        fill = peak * self.fill_fraction
-        filled = [
-            [value if value > _ZERO else fill for value in row] for row in matrix
-        ]
-        stochastic = sinkhorn_scale(filled, iterations=self.sinkhorn_iterations)
-
-        week = 0.0
-        for i, row in enumerate(matrix):
-            for j, seconds in enumerate(row):
-                if seconds > _ZERO:
-                    week = max(week, seconds / stochastic[i][j])
-        return birkhoff_von_neumann(stochastic), week

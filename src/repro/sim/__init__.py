@@ -25,7 +25,6 @@ from repro.sim.packet_sim import (
     PacketCoflowState,
     PacketSimulator,
     RateAllocator,
-    ReferencePacketSimulator,
     simulate_packet,
 )
 from repro.sim.packet_vector import VectorPacketSimulator, vector_capable
@@ -66,7 +65,6 @@ __all__ = [
     "PacketCoflowState",
     "PacketSimulator",
     "RateAllocator",
-    "ReferencePacketSimulator",
     "VectorPacketSimulator",
     "vector_capable",
     "simulate_packet",

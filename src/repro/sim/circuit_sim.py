@@ -42,7 +42,6 @@ from repro.core.prt import (
 )
 from repro.core.starvation import StarvationGuard
 from repro.core.sunflow import CoflowSchedule, ReservationOrder, SunflowScheduler
-from repro.compat import legacy_entry_point
 from repro.perf import PerfCounters
 from repro.schedulers.base import AssignmentScheduler
 from repro.sim.assignment_exec import SwitchModel, execute_assignments
@@ -56,7 +55,6 @@ Circuit = Tuple[int, int]
 # ----------------------------------------------------------------------
 # Intra-Coflow mode (§5.3): one Coflow in the network at a time
 # ----------------------------------------------------------------------
-@legacy_entry_point
 def simulate_intra_sunflow(
     trace: CoflowTrace,
     bandwidth_bps: float = DEFAULT_BANDWIDTH,
@@ -81,7 +79,6 @@ def simulate_intra_sunflow(
     return report
 
 
-@legacy_entry_point
 def simulate_intra_assignment(
     trace: CoflowTrace,
     scheduler: AssignmentScheduler,
@@ -929,7 +926,6 @@ class InterCoflowSimulator:
             )
 
 
-@legacy_entry_point
 def simulate_inter_sunflow(
     trace: CoflowTrace,
     bandwidth_bps: float = DEFAULT_BANDWIDTH,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.compat import legacy_entry_point
 from repro.core.bounds import packet_lower_bound
 from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.sunflow import ReservationOrder, SunflowScheduler
@@ -97,7 +96,6 @@ def split_trace(
     )
 
 
-@legacy_entry_point
 def simulate_intra_hybrid(
     trace: CoflowTrace,
     config: HybridConfig,
@@ -141,7 +139,6 @@ def simulate_intra_hybrid(
     return report
 
 
-@legacy_entry_point
 def simulate_inter_hybrid(
     trace: CoflowTrace,
     config: HybridConfig,
@@ -165,8 +162,8 @@ def simulate_inter_hybrid(
 
     ``allocator`` selects the overlay's rate allocator (default: a fresh
     :class:`~repro.sim.varys.VarysAllocator`); the replay goes through
-    :func:`~repro.sim.packet_sim.simulate_packet`, so the overlay rides
-    the ``REPRO_KERNEL``-selected engine (vectorized by default).
+    :func:`~repro.sim.packet_sim.simulate_packet`, so a stock allocator
+    rides the vectorized engine.
     """
     from repro.sim.circuit_sim import simulate_inter_sunflow
     from repro.sim.packet_sim import simulate_packet

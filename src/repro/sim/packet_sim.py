@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.compat import legacy_entry_point
 from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.prt import TIME_EPS
 from repro.sim.engine import run_replay
@@ -139,11 +138,11 @@ class RateAllocator(abc.ABC):
 class PacketSimulator:
     """Trace replay on the fluid packet switch with a pluggable allocator.
 
-    This is the pure-Python reference engine, retained verbatim as the
-    behavioural oracle for the array-backed
-    :class:`~repro.sim.packet_vector.VectorPacketSimulator` (the
-    ``ReferencePortReservationTable`` pattern); the differential suite
-    holds the two to bitwise-identical event sequences and CCT records.
+    The dict-based engine: it runs any :class:`RateAllocator`, so
+    custom and subclassed allocators (which the array-backed
+    :class:`~repro.sim.packet_vector.VectorPacketSimulator` cannot
+    honour) replay here, and it is the behavioural oracle the
+    differential suite holds the vector engine to, bit for bit.
     ``event_times`` logs the processed events for that comparison.
     """
 
@@ -285,11 +284,6 @@ class PacketSimulator:
                 state.drain(circuit, served)
 
 
-#: Explicit alias for the oracle role (mirrors the PRT naming).
-ReferencePacketSimulator = PacketSimulator
-
-
-@legacy_entry_point
 def simulate_packet(
     trace: CoflowTrace,
     allocator: RateAllocator,
@@ -297,19 +291,13 @@ def simulate_packet(
 ) -> SimulationReport:
     """One-call packet-switched trace replay under the given allocator.
 
-    Dispatches on the kernel backend (``REPRO_KERNEL``, same switch as
-    the scheduler kernels): with numpy active and a stock Varys/Aalo
-    allocator the array-backed
-    :class:`~repro.sim.packet_vector.VectorPacketSimulator` runs;
-    otherwise — ``REPRO_KERNEL=python``, or a custom/subclassed
-    allocator whose overrides the vector twin can't honour — the
-    pure-Python reference engine does.  Both produce identical reports.
+    A stock Varys/Aalo allocator runs on the array-backed
+    :class:`~repro.sim.packet_vector.VectorPacketSimulator`; a custom or
+    subclassed allocator, whose overrides the vector engine can't honour,
+    runs on :class:`PacketSimulator`.  Both produce identical reports.
     """
-    from repro.kernels import numpy_enabled
+    from repro.sim.packet_vector import VectorPacketSimulator, vector_capable
 
-    if numpy_enabled():
-        from repro.sim.packet_vector import VectorPacketSimulator, vector_capable
-
-        if vector_capable(allocator):
-            return VectorPacketSimulator(trace, allocator, bandwidth_bps).run()
+    if vector_capable(allocator):
+        return VectorPacketSimulator(trace, allocator, bandwidth_bps).run()
     return PacketSimulator(trace, allocator, bandwidth_bps).run()

@@ -10,9 +10,10 @@ stops issuing a stale plan's remaining commands.
 
 Replanning implements Sunflow's inter-Coflow preemption exactly as the
 flow-level model does: every in-flight reservation is torn down at the
-replan's effective instant and the remaining demand is rescheduled from
-there, with circuits that keep serving the same flow continued without a
-new ``δ`` (the ``established`` mechanism).  A plan version number
+replan's effective instant (unless the new plan reproduces it bit for
+bit) and the remaining demand is rescheduled from there, with circuits
+that keep serving the same flow continued without a new ``δ`` (the
+``established`` mechanism).  A plan version number
 invalidates queued issue ticks from superseded plans — the standard lazy
 cancellation pattern for event-driven control loops.
 """
@@ -217,12 +218,14 @@ class SunflowController:
         effective = now + self.command_latency
         output = ControllerOutput()
 
-        # Tear down in-flight reservations that outlive the new plan's
-        # start; update their expected service and remember circuits that
-        # stay configured so continuations skip (part of) the setup.
+        # In-flight reservations that outlive the new plan's start are
+        # torn down there (below, once the plan is known); count the
+        # service they will have delivered by then and remember circuits
+        # that stay configured so continuations skip (part of) the setup.
         established: Dict[int, Dict[Circuit, float]] = {}
         expected_by_circuit: Dict[Tuple[int, Circuit], float] = {}
-        for reservation in list(self._outstanding):
+        in_flight: List[Tuple[Reservation, float]] = []
+        for reservation in self._outstanding:
             key = (reservation.coflow_id, (reservation.src, reservation.dst))
             if reservation.end <= effective + TIME_EPS:
                 expected_by_circuit[key] = (
@@ -233,13 +236,8 @@ class SunflowController:
                 0.0, min(reservation.end, effective) - reservation.transmit_start
             )
             estimate = min(estimate, self._outstanding[reservation])
-            output.teardowns.append(TeardownCircuit(reservation, when=effective))
-            if effective <= reservation.transmit_start + TIME_EPS:
-                # Cancelled before any transmission: the agent never went
-                # live and will send no report — settle the ledger now.
-                del self._outstanding[reservation]
-            else:
-                self._outstanding[reservation] = estimate
+            in_flight.append((reservation, estimate))
+            if effective > reservation.transmit_start + TIME_EPS:
                 expected_by_circuit[key] = expected_by_circuit.get(key, 0.0) + estimate
             if reservation.start <= effective + TIME_EPS:
                 remaining_setup = max(0.0, reservation.transmit_start - effective)
@@ -275,9 +273,33 @@ class SunflowController:
             demands, start_time=effective, established=established
         )
 
+        # Keep running an issued reservation the new plan reproduces bit for
+        # bit: cancelling it and issuing an equal value would let the
+        # agent's report for the cancelled one settle the new one.  The new
+        # plan starts nothing before ``effective``, so only one not yet
+        # started (typically going live exactly then) can be reproduced.
+        kept = {r for r, _ in in_flight if r.start >= effective}
+        if kept:
+            kept.intersection_update(
+                r for schedule in schedules.values() for r in schedule.reservations
+            )
+        for reservation, estimate in in_flight:
+            if kept and reservation in kept:
+                continue
+            output.teardowns.append(TeardownCircuit(reservation, when=effective))
+            if effective <= reservation.transmit_start + TIME_EPS:
+                # Cancelled before any transmission: the agent never went
+                # live and will send no report — settle the ledger now.
+                del self._outstanding[reservation]
+            else:
+                self._outstanding[reservation] = estimate
+
         for cid, schedule in schedules.items():
-            self._planned[cid] = list(schedule.reservations)
-            for reservation in schedule.reservations:
+            planned = schedule.reservations
+            if kept:
+                planned = [r for r in planned if r not in kept]
+            self._planned[cid] = list(planned)
+            for reservation in self._planned[cid]:
                 issue_at = max(now, reservation.start - self.command_latency)
                 output.ticks.append(
                     (issue_at, IssueTick(self._plan_version, reservation))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.compat import legacy_entry_point
 from repro.core.coflow import CoflowTrace
 from repro.core.policies import Policy
 from repro.core.sunflow import ReservationOrder, SunflowScheduler
@@ -183,7 +182,6 @@ class SystemRunner:
             queue.push(max(time, now), ("controller", tick))
 
 
-@legacy_entry_point
 def simulate_system(
     trace: CoflowTrace,
     bandwidth_bps: float = DEFAULT_BANDWIDTH,

@@ -1,55 +1,21 @@
-"""Legacy keyword spellings stay usable — with a ``DeprecationWarning``.
+"""What stays of the compatibility surface.
 
-Historical call sites spelled the network parameters differently
-(``bandwidth=``, ``rate_bps=``, ``reconf_delay=``…).  The
-``repro.compat.legacy_entry_point`` shim maps them onto the canonical
-``bandwidth_bps``/``delta`` vocabulary on every ``simulate_*`` function.
+The ``simulate_*`` functions take only the canonical ``bandwidth_bps`` /
+``delta`` keywords; the historical spellings (``bandwidth=``,
+``rate_bps=``, ``reconf_delay=``, ``reconfiguration_delay=``) are gone.
+The retired plan cache keeps an importable, always-missing
+``PlanCache`` name that warns on construction.
 """
 
 import warnings
 
 import pytest
 
-from repro.compat import LEGACY_KEYWORD_ALIASES, canonical_kwargs
-from repro.sim import simulate_inter_sunflow, simulate_intra_sunflow
+from repro.sim import simulate_intra_sunflow
 from repro.units import GBPS, MS
 
 BANDWIDTH = 1 * GBPS
 DELTA = 10 * MS
-
-
-@pytest.mark.parametrize("alias", ["reconf_delay", "reconfiguration_delay"])
-def test_delta_aliases(figure1_coflow, alias):
-    from repro.core.coflow import CoflowTrace
-
-    trace = CoflowTrace(7, [figure1_coflow])
-    canonical = simulate_intra_sunflow(trace, BANDWIDTH, DELTA)
-    with pytest.deprecated_call(match=f"{alias}.*delta"):
-        aliased = simulate_intra_sunflow(trace, BANDWIDTH, **{alias: DELTA})
-    assert aliased.records == canonical.records
-
-
-@pytest.mark.parametrize("alias", ["bandwidth", "rate_bps"])
-def test_bandwidth_aliases(figure1_coflow, alias):
-    from repro.core.coflow import CoflowTrace
-
-    trace = CoflowTrace(7, [figure1_coflow])
-    canonical = simulate_inter_sunflow(trace, BANDWIDTH, DELTA)
-    with pytest.deprecated_call(match=f"{alias}.*bandwidth_bps"):
-        aliased = simulate_inter_sunflow(trace, delta=DELTA, **{alias: BANDWIDTH})
-    assert aliased.records == canonical.records
-
-
-def test_alias_and_canonical_together_rejected(figure1_coflow):
-    from repro.core.coflow import CoflowTrace
-
-    trace = CoflowTrace(7, [figure1_coflow])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError, match="alongside"):
-            simulate_intra_sunflow(
-                trace, BANDWIDTH, delta=DELTA, reconf_delay=DELTA
-            )
 
 
 def test_canonical_spelling_warns_nothing(figure1_coflow):
@@ -59,53 +25,6 @@ def test_canonical_spelling_warns_nothing(figure1_coflow):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         simulate_intra_sunflow(trace, bandwidth_bps=BANDWIDTH, delta=DELTA)
-
-
-def test_decorator_is_reusable():
-    @canonical_kwargs(old_name="new_name")
-    def f(new_name=0):
-        return new_name
-
-    with pytest.deprecated_call():
-        assert f(old_name=42) == 42
-    assert f(new_name=7) == 7
-
-
-def test_every_alias_is_registered():
-    assert LEGACY_KEYWORD_ALIASES == {
-        "reconf_delay": "delta",
-        "reconfiguration_delay": "delta",
-        "bandwidth": "bandwidth_bps",
-        "rate_bps": "bandwidth_bps",
-    }
-
-
-def test_warning_fires_once_per_call_site():
-    """A looping legacy caller warns on the first iteration only — but the
-    keyword rewrite still happens on every call."""
-
-    @canonical_kwargs(old_name="new_name")
-    def f(new_name=0):
-        return new_name
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = [f(old_name=i) for i in range(5)]  # one call site
-    assert results == [0, 1, 2, 3, 4]  # rewrite applied on all five calls
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, DeprecationWarning)
-
-
-def test_distinct_call_sites_each_warn():
-    @canonical_kwargs(old_name="new_name")
-    def f(new_name=0):
-        return new_name
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        f(old_name=1)
-        f(old_name=2)  # different line: its own notice
-    assert len(caught) == 2
 
 
 def test_retired_plan_cache_warns_and_never_hits():

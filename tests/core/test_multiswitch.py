@@ -1,4 +1,5 @@
-"""Tests for the multi-plane Sunflow extension (future work of §6)."""
+"""Multi-plane Sunflow (future work of §6): first-fit over K parallel
+switch planes, each a core of :class:`~repro.core.multicore.MultiCoreSunflowScheduler`."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import circuit_lower_bound
 from repro.core.coflow import Coflow
-from repro.core.multiswitch import MultiSwitchSunflow
+from repro.core.multicore import MultiCoreSunflowScheduler, uniform_cores
+from repro.core.prt import CoreReservationTables
 from repro.core.sunflow import SunflowScheduler
 from repro.units import GBPS, MB, MS
 
@@ -14,23 +16,25 @@ B = 1 * GBPS
 DELTA = 10 * MS
 
 
+def planes_scheduler(planes, delta=DELTA):
+    return MultiCoreSunflowScheduler(uniform_cores(planes, B, delta))
+
+
 def plan(coflow, planes, delta=DELTA):
-    return MultiSwitchSunflow(num_planes=planes, delta=delta).schedule_coflow(
-        coflow, B, start_time=0.0
-    )
+    return planes_scheduler(planes, delta).schedule_coflow(coflow, "first-fit")
 
 
 class TestConstruction:
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
-            MultiSwitchSunflow(num_planes=0)
+            planes_scheduler(0)
         with pytest.raises(ValueError):
-            MultiSwitchSunflow(num_planes=2, delta=-1.0)
+            planes_scheduler(2, delta=-1.0)
 
     def test_table_count_checked(self):
-        scheduler = MultiSwitchSunflow(num_planes=3)
+        scheduler = planes_scheduler(3)
         with pytest.raises(ValueError, match="expected 3"):
-            scheduler.schedule_demand([], 1, {(0, 1): 1.0})
+            scheduler.schedule_demand(CoreReservationTables.fresh(2), 1, {(0, 1): 1.0})
 
 
 class TestSinglePlaneEquivalence:
@@ -66,7 +70,7 @@ class TestParallelism:
     def test_reservations_actually_use_multiple_planes(self):
         coflow = Coflow.from_demand(1, {(i, 9): 50 * MB for i in range(4)})
         schedule = plan(coflow, planes=4)
-        assert len(schedule.per_plane_counts()) == 4
+        assert len(schedule.per_core_counts()) == 4
 
     def test_permutation_gains_nothing(self):
         """Demand with no port contention cannot benefit from extra planes."""
@@ -102,18 +106,16 @@ class TestInvariants:
         for src, dst, mb in entries:
             demand[(src, dst)] = mb * MB
         coflow = Coflow.from_demand(1, demand)
-        scheduler = MultiSwitchSunflow(num_planes=planes, delta=DELTA)
+        scheduler = planes_scheduler(planes)
         tables = scheduler.new_tables()
-        schedule = scheduler.schedule_demand(
-            tables, 1, coflow.processing_times(B)
-        )
+        schedule = scheduler.schedule_demand(tables, 1, coflow.demand())
         for prt in tables:
             prt.validate()
         served = {}
         for item in schedule.reservations:
             r = item.reservation
             served[(r.src, r.dst)] = served.get((r.src, r.dst), 0.0) + r.transmit_duration
-            assert 0 <= item.plane < planes
+            assert 0 <= item.core < planes
         for circuit, p in coflow.processing_times(B).items():
             assert served.get(circuit, 0.0) == pytest.approx(p, rel=1e-6, abs=1e-9)
 
@@ -144,60 +146,13 @@ class TestInvariants:
 
 class TestInterCoflow:
     def test_priority_isolation_across_planes(self):
-        scheduler = MultiSwitchSunflow(num_planes=2, delta=DELTA)
+        scheduler = planes_scheduler(2)
         high = Coflow.from_demand(1, {(0, 0): 50 * MB})
         low = Coflow.from_demand(2, {(0, 1): 50 * MB})
-        alone = scheduler.schedule_coflow(high, B)
-        _, schedules = scheduler.schedule_coflows([high, low], B)
+        alone = scheduler.schedule_coflow(high, "first-fit")
+        _, schedules = scheduler.schedule_coflows([high, low], "first-fit")
         assert schedules[1].makespan == pytest.approx(alone.makespan)
         # With two planes, the low-priority coflow uses the second plane's
         # transceiver on port 0 and is not delayed at all.
         assert schedules[2].makespan == pytest.approx(alone.makespan)
 
-
-class TestDeprecationShim:
-    def test_constructor_warns_once_per_call_site(self):
-        import warnings
-
-        def construct():
-            return MultiSwitchSunflow(num_planes=2)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            construct()
-            construct()
-        notices = [
-            w
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "MultiSwitchSunflow" in str(w.message)
-        ]
-        assert len(notices) == 1
-        assert "repro.api.simulate" in str(notices[0].message)
-
-    def test_shim_delegates_to_multicore_scheduler(self):
-        import warnings
-
-        from repro.core.multicore import MultiCoreSunflowScheduler, uniform_cores
-        from repro.units import BITS_PER_BYTE, processing_time
-
-        coflow = Coflow.from_demand(
-            1, {(0, 1): 40 * MB, (0, 2): 25 * MB, (3, 1): 10 * MB}
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = MultiSwitchSunflow(num_planes=2, delta=DELTA).schedule_coflow(
-                coflow, B
-            )
-        modern = MultiCoreSunflowScheduler(
-            uniform_cores(2, bandwidth_bps=float(BITS_PER_BYTE), delta=DELTA)
-        )
-        seconds = {c: processing_time(b, B) for c, b in coflow.demand().items()}
-        expected = modern.schedule_demand(modern.new_tables(), 1, seconds)
-        assert [
-            (item.plane, item.reservation.start, item.reservation.end)
-            for item in legacy.reservations
-        ] == [
-            (item.core, item.reservation.start, item.reservation.end)
-            for item in expected.reservations
-        ]

@@ -2,7 +2,7 @@
 
 :class:`~repro.core.prt.PortReservationTable` keeps per-port
 struct-of-arrays boundary tables and answers hot queries by bisecting
-raw doubles; :class:`~repro.core.prt_reference.ReferencePortReservationTable`
+raw doubles; :class:`~tests.oracles.prt_reference.ReferencePortReservationTable`
 is the straightforward object-list implementation it replaced.  The two
 must be observably identical: same accepted/rejected reservations, same
 conflict errors, same query answers, same journal/checkpoint/rollback
@@ -25,8 +25,8 @@ from repro.core.prt import (
     PortReservationTable,
     native_transactions_available,
 )
-from repro.core.prt_reference import ReferencePortReservationTable
 from repro.core.sunflow import SunflowScheduler
+from tests.oracles.prt_reference import ReferencePortReservationTable
 
 
 def res_key(reservation):

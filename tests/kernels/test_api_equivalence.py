@@ -1,17 +1,19 @@
-"""Figure 6/10 sweep cells must be backend-invariant.
+"""Figure 6/10 sweep cells must equal their oracle runs.
 
 The paper's intra- and inter-Coflow comparisons (Fig 6, Fig 10) replay
-baseline schedulers over generated traces.  Any cell computed with the
-numpy kernel layer must equal the same cell computed with the pure-Python
-references: identical per-Coflow CCTs within 1e-9 relative.
+baseline schedulers over generated traces.  Any cell computed on the
+numpy kernel layer must equal the same cell computed with the
+pure-Python oracles (:mod:`tests.oracles`) swapped in: identical
+per-Coflow CCTs within 1e-9 relative.
 """
 
 import pytest
 
-from repro.api import NetworkSpec, SimulationSpec, simulate
-from repro.kernels import use_backend
+from repro.api import NetworkSpec, SimulationSpec, facade, simulate
+from repro.sim import packet_vector
 from repro.units import GBPS, MS
 from repro.workloads import FacebookLikeTraceGenerator, GeneratorConfig
+from tests.oracles.schedulers import REFERENCE_SCHEDULERS
 
 BANDWIDTH = 1 * GBPS
 DELTA = 10 * MS
@@ -25,21 +27,23 @@ def tiny_trace():
     return FacebookLikeTraceGenerator(config).generate()
 
 
-def run_cell(trace, scheduler, backend, mode="intra"):
+def run_cell(trace, scheduler, mode="intra"):
     spec = SimulationSpec(
         trace=trace,
         mode=mode,
         scheduler=scheduler,
         network=NetworkSpec(bandwidth_bps=BANDWIDTH, delta=DELTA),
     )
-    with use_backend(backend):
-        return simulate(spec)
+    return simulate(spec)
 
 
 @pytest.mark.parametrize("scheduler", ["solstice", "tms", "edmond"])
-def test_sweep_cell_backend_invariant(tiny_trace, scheduler):
-    kernel = run_cell(tiny_trace, scheduler, "numpy")
-    reference = run_cell(tiny_trace, scheduler, "python")
+def test_sweep_cell_backend_invariant(tiny_trace, scheduler, monkeypatch):
+    kernel = run_cell(tiny_trace, scheduler)
+    monkeypatch.setitem(
+        facade._ASSIGNMENT_SCHEDULERS, scheduler, REFERENCE_SCHEDULERS[scheduler]
+    )
+    reference = run_cell(tiny_trace, scheduler)
     assert len(kernel.records) == len(reference.records)
     key = lambda record: record.coflow_id  # noqa: E731
     for ours, theirs in zip(
@@ -52,15 +56,17 @@ def test_sweep_cell_backend_invariant(tiny_trace, scheduler):
 
 
 @pytest.mark.parametrize("scheduler", ["varys", "aalo"])
-def test_packet_cell_backend_invariant(tiny_trace, scheduler):
+def test_packet_cell_backend_invariant(tiny_trace, scheduler, monkeypatch):
     """Fig 6's inter-mode Varys/Aalo cells under both packet engines.
 
     The packet-simulator kernels promise *bitwise* identity (not just
     1e-9-relative like the decomposition kernels), so the comparison is
     plain equality.
     """
-    kernel = run_cell(tiny_trace, scheduler, "numpy", mode="inter")
-    reference = run_cell(tiny_trace, scheduler, "python", mode="inter")
+    kernel = run_cell(tiny_trace, scheduler, mode="inter")
+    # Route the stock allocator to the dict-based PacketSimulator oracle.
+    monkeypatch.setattr(packet_vector, "vector_capable", lambda allocator: False)
+    reference = run_cell(tiny_trace, scheduler, mode="inter")
     assert len(kernel.records) == len(reference.records)
     key = lambda record: record.coflow_id  # noqa: E731
     for ours, theirs in zip(

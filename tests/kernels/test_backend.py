@@ -5,32 +5,39 @@ import os
 import numpy as np
 import pytest
 
-from repro.kernels import (
-    BACKEND_ENV,
-    active_backend,
-    as_demand_matrix,
-    numpy_enabled,
-    use_backend,
-)
+from repro.backend import ENV as BACKEND_ENV
+from repro.backend import active_backend, planner_backend, use_backend
+from repro.kernels import as_demand_matrix
 from repro.schedulers.base import AssignmentScheduler, canonical_demand, compact_demand
+
+#: Values ``REPRO_KERNEL`` rejects: a misspelling, and the retired
+#: ``numpy`` backend (the kernels now run under every value).
+UNKNOWN_BACKENDS = ("fortran", "numpy")
 
 
 class TestBackendSelection:
     def test_default_is_numpy(self, monkeypatch, native_absent):
-        """Without the compiled extension the default is the numpy kernels."""
+        """Without the compiled extension the default runs the Python
+        planner, and the baseline schedulers still run the numpy kernels."""
+        from repro.perf import scheduler_counters
+        from repro.schedulers import BvnScheduler
+
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert active_backend() == "numpy"
-        assert numpy_enabled()
+        assert active_backend() == "python"
+        scheduler_counters.reset()
+        BvnScheduler().schedule({(0, 1): 1.0, (1, 0): 2.0}, 2)
+        assert scheduler_counters.count("bvn_permutations") > 0
 
     def test_env_var_selects_python(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "python")
         assert active_backend() == "python"
-        assert not numpy_enabled()
+        assert planner_backend() == "python"
 
     def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fortran")
-        with pytest.raises(ValueError, match="fortran"):
-            active_backend()
+        for value in UNKNOWN_BACKENDS:
+            monkeypatch.setenv(BACKEND_ENV, value)
+            with pytest.raises(ValueError, match=value):
+                active_backend()
 
     def test_use_backend_restores(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -41,32 +48,34 @@ class TestBackendSelection:
         assert BACKEND_ENV not in os.environ
 
     def test_use_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with use_backend("fortran"):
-                pass  # pragma: no cover
+        for value in UNKNOWN_BACKENDS:
+            with pytest.raises(ValueError):
+                with use_backend(value):
+                    pass  # pragma: no cover
 
     def test_native_is_a_known_backend(self, monkeypatch):
-        """``native`` swaps only the Sunflow planner and PRT transactions;
-        the scheduler/packet kernel layer must treat it exactly like
-        ``numpy``."""
         monkeypatch.setenv(BACKEND_ENV, "native")
         assert active_backend() == "native"
-        assert numpy_enabled()
 
     def test_backend_names_normalized(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "  Native ")
         assert active_backend() == "native"
 
     def test_dispatch_follows_env_per_call(self, monkeypatch):
-        """The backend is read per schedule call, not captured at import."""
-        from repro.matching import stuffing
+        """The backend is read per planner call, not captured at import."""
+        from repro.core.prt import PortReservationTable
+        from repro.core.sunflow import SunflowScheduler
 
-        matrix = [[5.0, 0.0], [0.0, 1.0]]
-        with use_backend("numpy"):
-            stuffed_numpy, _ = stuffing.quick_stuff(matrix)
+        scheduler = SunflowScheduler()
+        demand = {(0, 1): 1.0, (1, 0): 0.5}
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        default = scheduler.schedule_demand(PortReservationTable(), 1, demand)
         with use_backend("python"):
-            stuffed_python, _ = stuffing.quick_stuff(matrix)
-        assert stuffed_numpy == stuffed_python
+            python = scheduler.schedule_demand(PortReservationTable(), 1, demand)
+        assert python.reservations == default.reservations
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        with pytest.raises(ValueError, match="numpy"):
+            scheduler.schedule_demand(PortReservationTable(), 1, demand)
 
 
 class TestDemandCanonicalization:
@@ -136,3 +145,25 @@ class TestDemandCanonicalization:
         stuffed_arr, dummy_arr = quick_stuff(as_array)
         assert stuffed_list.tolist() == stuffed_arr.tolist()
         assert dummy_list.tolist() == dummy_arr.tolist()
+
+
+class TestOneImplementationPerLayer:
+    def test_src_ships_no_reference_twins(self):
+        """The structural guarantee behind ``tests/oracles``: the runtime
+        has one implementation per layer.  No ``repro.matching`` wrapper
+        package, no ``*_reference.py`` twin, no per-call kernel switch,
+        and nothing under ``src/repro`` imports the test oracles."""
+        import pathlib
+        import re
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        assert not (root / "matching").exists()
+        assert sorted(p.name for p in root.rglob("*_reference.py")) == []
+        imports_tests = re.compile(r"^\s*(from|import)\s+tests\b", re.MULTILINE)
+        for path in sorted(root.rglob("*.py")):
+            text = path.read_text()
+            assert not imports_tests.search(text), path.name
+            assert "def numpy_enabled" not in text, path.name
+            assert "ReferencePacketSimulator" not in text, path.name

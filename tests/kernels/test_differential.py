@@ -1,4 +1,4 @@
-"""Differential tests: numpy kernels vs the retained pure-Python references.
+"""Differential tests: numpy kernels vs the pure-Python oracles.
 
 Two layers of evidence that the kernels are drop-in:
 
@@ -9,9 +9,10 @@ Two layers of evidence that the kernels are drop-in:
   identical, BvN terms match and drain exactly, Sinkhorn agrees within
   ulp-level tolerance;
 * scheduler level (seeded grid) — Solstice, TMS, Edmond, and BvN
-  schedules computed under ``REPRO_KERNEL=numpy`` and
-  ``REPRO_KERNEL=python`` for 200+ random demand matrices must have
-  identical circuit sequences with durations within 1e-9 relative.
+  schedules computed by :mod:`repro.schedulers` and by their oracle
+  pipelines (:mod:`tests.oracles.schedulers`) for 200+ random demand
+  matrices must have identical circuit sequences with durations within
+  1e-9 relative.
 """
 
 import itertools
@@ -22,32 +23,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import use_backend
 from repro.kernels.assignment import min_cost_assignment as kernel_assignment
 from repro.kernels.decomposition import birkhoff_von_neumann as kernel_bvn
 from repro.kernels.matching import matching_from_matrix as kernel_matching
 from repro.kernels.matrix import quick_stuff as kernel_quick_stuff
 from repro.kernels.matrix import sinkhorn_scale as kernel_sinkhorn
-from repro.matching.birkhoff_reference import (
-    birkhoff_von_neumann as reference_bvn,
-    reconstruct,
-)
-from repro.matching.hopcroft_karp_reference import (
-    matching_from_matrix as reference_matching,
-    maximum_bipartite_matching,
-)
-from repro.matching.hungarian_reference import (
-    min_cost_assignment as reference_assignment,
-)
-from repro.matching.stuffing_reference import (
-    quick_stuff as reference_quick_stuff,
-    sinkhorn_scale as reference_sinkhorn,
-)
 from repro.schedulers import (
     BvnScheduler,
     EdmondScheduler,
     SolsticeScheduler,
     TmsScheduler,
+)
+from tests.oracles.birkhoff_reference import (
+    birkhoff_von_neumann as reference_bvn,
+    reconstruct,
+)
+from tests.oracles.hopcroft_karp_reference import (
+    matching_from_matrix as reference_matching,
+    maximum_bipartite_matching,
+)
+from tests.oracles.hungarian_reference import (
+    min_cost_assignment as reference_assignment,
+)
+from tests.oracles.schedulers import REFERENCE_SCHEDULERS
+from tests.oracles.stuffing_reference import (
+    quick_stuff as reference_quick_stuff,
+    sinkhorn_scale as reference_sinkhorn,
 )
 
 # ----------------------------------------------------------------------
@@ -218,7 +219,61 @@ class TestBvnDifferential:
 
 
 # ----------------------------------------------------------------------
-# Scheduler level: 200+ random demand matrices, both backends
+# Degenerate inputs: same answer or the same error
+# ----------------------------------------------------------------------
+
+_DEGENERATE = {
+    "matching-negative": ("max_weight_matching", [[-1.0, 0.0], [0.0, 1.0]]),
+    "assignment-empty": ("min_cost_assignment", []),
+    "assignment-non-square": ("min_cost_assignment", [[1.0, 2.0]]),
+    "stuff-negative": ("quick_stuff", [[-1.0]]),
+    "stuff-non-square": ("quick_stuff", [[1.0, 2.0]]),
+    "sinkhorn-non-square": ("sinkhorn_scale", [[1.0, 2.0]]),
+    "bvn-unequal-line-sums": ("birkhoff_von_neumann", [[1.0, 0.0], [0.0, 2.0]]),
+    "bvn-empty": ("birkhoff_von_neumann", []),
+    "no-perfect-matching": ("matching_from_matrix", [[1.0, 1.0], [0.0, 0.0]]),
+}
+
+
+def _outcome(fn, matrix):
+    try:
+        result = fn(matrix)
+    except ValueError as error:
+        return "ValueError", str(error)
+    if isinstance(result, tuple):
+        return tuple(np.asarray(part).tolist() for part in result)
+    return result
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE))
+def test_degenerate_input_matches_oracle(case):
+    """Empty, negative, non-square and undecomposable matrices: each kernel
+    returns what its oracle returns, or raises the same ``ValueError``."""
+    import repro.kernels as kernels
+    from tests.oracles import (
+        birkhoff_reference,
+        hopcroft_karp_reference,
+        hungarian_reference,
+        stuffing_reference,
+    )
+
+    name, matrix = _DEGENERATE[case]
+    # Defining modules first: birkhoff_reference re-imports two helpers.
+    oracle = next(
+        getattr(module, name)
+        for module in (
+            hungarian_reference,
+            stuffing_reference,
+            hopcroft_karp_reference,
+            birkhoff_reference,
+        )
+        if hasattr(module, name)
+    )
+    assert _outcome(getattr(kernels, name), matrix) == _outcome(oracle, matrix)
+
+
+# ----------------------------------------------------------------------
+# Scheduler level: 200+ random demand matrices, kernels vs oracles
 # ----------------------------------------------------------------------
 
 _SCHEDULERS = {
@@ -244,9 +299,9 @@ def _random_demand(seed):
     return demand, ports
 
 
-def _run(name, demand, ports, backend):
-    with use_backend(backend):
-        return _SCHEDULERS[name]().schedule(demand, ports)
+def _run(name, demand, ports, oracle=False):
+    registry = REFERENCE_SCHEDULERS if oracle else _SCHEDULERS
+    return registry[name]().schedule(demand, ports)
 
 
 @pytest.mark.parametrize("name", sorted(_SCHEDULERS))
@@ -254,8 +309,8 @@ def _run(name, demand, ports, backend):
 def test_schedules_equivalent_across_backends(name, seed):
     """4 schedulers × 52 seeds = 208 matrices; 0 mismatches allowed."""
     demand, ports = _random_demand(seed * 7919 + sum(map(ord, name)))
-    kernel = _run(name, demand, ports, "numpy")
-    reference = _run(name, demand, ports, "python")
+    kernel = _run(name, demand, ports)
+    reference = _run(name, demand, ports, oracle=True)
     assert len(kernel.assignments) == len(reference.assignments)
     for ours, theirs in zip(kernel.assignments, reference.assignments):
         assert ours.circuits == theirs.circuits
@@ -271,5 +326,5 @@ def test_solstice_covers_demand_exactly():
     spot grid on top of the seeded equivalence sweep)."""
     for seed in range(12):
         demand, ports = _random_demand(seed + 31337)
-        schedule = _run("solstice", demand, ports, "numpy")
+        schedule = _run("solstice", demand, ports)
         assert schedule.covers(demand)

@@ -37,7 +37,7 @@ from repro.core.sunflow import (
     native_planner_available,
     planner_backend,
 )
-from repro.kernels import active_backend, use_backend
+from repro.backend import active_backend, use_backend
 
 needs_native = pytest.mark.skipif(
     not native_planner_available(),
@@ -321,13 +321,15 @@ class TestFallback:
         assert not _runtime_warnings(again)
 
     def test_unknown_backend_raises(self, monkeypatch):
-        """A misspelt backend fails loudly instead of planning in Python."""
-        monkeypatch.setenv("REPRO_KERNEL", "natvie")
-        accepted = r"'natvie'.*'numpy', 'python', 'native'"
-        with pytest.raises(ValueError, match=accepted):
-            planner_backend()
-        with pytest.raises(ValueError, match=accepted):
-            SunflowScheduler().schedule_demand(PortReservationTable(), 1, _DEMAND)
+        """A misspelt or retired backend fails loudly instead of planning
+        in Python."""
+        for value in ("natvie", "numpy"):
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            accepted = rf"'{value}'.*\('python', 'native'\)"
+            with pytest.raises(ValueError, match=accepted):
+                planner_backend()
+            with pytest.raises(ValueError, match=accepted):
+                SunflowScheduler().schedule_demand(PortReservationTable(), 1, _DEMAND)
 
     def test_layout_version_matches(self):
         if not native_planner_available():

@@ -34,7 +34,7 @@ from repro.core.prt import (
     native_transactions_available,
 )
 from repro.core.sunflow import SunflowScheduler
-from repro.kernels import use_backend
+from repro.backend import use_backend
 
 needs_native = pytest.mark.skipif(
     not native_transactions_available(),

