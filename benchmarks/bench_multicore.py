@@ -5,9 +5,8 @@ Standalone CLI (not a pytest bench): replays a synthetic Facebook-like
 trace over 1, 2, 4 and 8 switch cores in both service modes (Fig-6-style
 intra, Fig-10-style inter) and every placement policy, reports the mean
 CCT normalized by the K-core circuit lower bound, verifies the K = 1
-cells bitwise against the single-switch replay plus incremental-vs-full
-agreement at every K, and writes the summary to ``BENCH_multicore.json``
-at the repository root.
+cells bitwise against the single-switch replay, and writes the summary
+to ``BENCH_multicore.json`` at the repository root.
 
     PYTHONPATH=src python benchmarks/bench_multicore.py
     PYTHONPATH=src python benchmarks/bench_multicore.py --coflows 80 --cores 1 2
@@ -83,7 +82,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    print("differential: 0 mismatches (K=1 bitwise, incremental == full replan)")
+    print("differential: 0 mismatches (K=1 bitwise with the single switch)")
     return 0
 
 

@@ -123,7 +123,6 @@ def main(argv=None) -> int:
     print(
         f"aggregates: mean CCT {summary['mean_cct_s']:.3f}s, "
         f"p95 {summary['p95_cct_s']:.3f}s, "
-        f"{result['prt_compactions']} compactions, "
         f"{result['sketch_merges']} sketch merges, "
         f"{result['digest_centroids']} centroids retained"
     )

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""End-to-end trace-replay benchmark (incremental vs full replanning).
+"""End-to-end trace-replay benchmark of the inter-Coflow replanner.
 
 Standalone CLI (not a pytest bench): replays a synthetic Facebook-like
-trace through the inter-Coflow simulator in both replanner modes, verifies
-the results are identical per Coflow, and writes the timing summary to
-``BENCH_trace_replay.json`` at the repository root.
+trace through the inter-Coflow simulator and writes the timing summary to
+``BENCH_trace_replay.json`` at the repository root.  With
+``--compare-backends`` it also replays under the python and native
+planners and exits non-zero unless both produce identical records.
 
     PYTHONPATH=src python benchmarks/bench_trace_replay.py
     PYTHONPATH=src python benchmarks/bench_trace_replay.py --coflows 120 --max-width 30
@@ -21,11 +22,10 @@ import sys
 def _compare_backends(args, run_trace_replay) -> dict:
     """Replay the same trace under the python and native planner backends.
 
-    Both runs keep the full-replan validation on, so each backend's
-    incremental/full mismatch count is enforced to 0; on top of that the
-    two backends' perf-counter counts (events, plans computed,
-    reservations made, ...) must be identical — the planners are bitwise
-    twins, so any divergence is a kernel bug, not noise.
+    The planners are bitwise twins, so the two runs' records (completion
+    times, switching counts, event times) and perf-counter counts (events,
+    plans computed, reservations made) must be identical — any divergence
+    is a kernel bug, not noise.
     """
     from repro.core.sunflow import native_planner_available
     from repro.backend import use_backend
@@ -38,29 +38,27 @@ def _compare_backends(args, run_trace_replay) -> dict:
         }
 
     comparison: dict = {"native_available": True}
-    counts = {}
+    runs = {}
     for backend in ("python", "native"):
         with use_backend(backend):
-            run = run_trace_replay(
+            run = runs[backend] = run_trace_replay(
                 num_coflows=args.coflows,
                 num_ports=args.ports,
                 max_width=args.max_width,
                 seed=args.seed,
-                compare_full=True,
             )
-        counts[backend] = run["counters"]["counts"]
         comparison[backend] = {
             "wall_s": run["wall_s"],
             "plan_timer_s": run["counters"]["timers_s"]["plan"],
             "plan_phases_s": run["plan_phases_s"],
-            "full_replan_wall_s": run["full_replan_wall_s"],
-            "mismatches": run["mismatches"],
         }
-        if run["mismatches"]:
-            comparison["error"] = (
-                f"{backend} backend: incremental and full replanning disagree"
-            )
-            return comparison
+    comparison["records_identical"] = (
+        runs["python"]["records_sha256"] == runs["native"]["records_sha256"]
+    )
+    if not comparison["records_identical"]:
+        comparison["error"] = "python and native backends produced different records"
+        return comparison
+    counts = {backend: run["counters"]["counts"] for backend, run in runs.items()}
     comparison["counters_identical"] = counts["python"] == counts["native"]
     if not comparison["counters_identical"]:
         diff = {
@@ -96,16 +94,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=2016, help="trace seed")
     parser.add_argument(
-        "--no-compare",
-        action="store_true",
-        help="skip the full-replan validation run (timing only)",
-    )
-    parser.add_argument(
         "--compare-backends",
         action="store_true",
         help="also replay under REPRO_KERNEL=python and REPRO_KERNEL=native "
         "and record wall + plan-timer for each (requires the repro._native "
-        "extension; mismatches are enforced to 0 in both)",
+        "extension; the two runs' records must be identical)",
     )
     parser.add_argument(
         "--baseline-s",
@@ -132,7 +125,6 @@ def main(argv=None) -> int:
         num_ports=args.ports,
         max_width=args.max_width,
         seed=args.seed,
-        compare_full=not args.no_compare,
     )
     result["provenance"] = bench_provenance()
 
@@ -151,7 +143,7 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.output}")
     print(
-        f"incremental: {result['wall_s']:.2f}s over {result['events']} events, "
+        f"replay: {result['wall_s']:.2f}s over {result['events']} events, "
         f"{result['coflows']} coflows"
     )
     phases = result.get("plan_phases_s", {})
@@ -160,13 +152,6 @@ def main(argv=None) -> int:
             "plan phases: "
             + ", ".join(f"{name} {seconds:.3f}s" for name, seconds in phases.items())
         )
-    kept = result.get("plans_kept_per_computed")
-    print(
-        "reuse: "
-        f"kept/computed {kept if kept is None else f'{kept:.2f}'}, "
-        f"{result.get('plans_transformed', 0)} transformed, "
-        f"{result.get('plans_reused', 0)} replayed"
-    )
     if "backend_comparison" in result and result["backend_comparison"].get(
         "native_available"
     ):
@@ -177,17 +162,8 @@ def main(argv=None) -> int:
             f"wall {comparison['python']['wall_s']:.2f}s, "
             f"native plan {comparison['native']['plan_timer_s']:.2f}s / "
             f"wall {comparison['native']['wall_s']:.2f}s "
-            f"(plan speedup {comparison['plan_speedup']:.2f}x, 0 mismatches)"
+            f"(plan speedup {comparison['plan_speedup']:.2f}x, identical records)"
         )
-    if "full_replan_wall_s" in result:
-        print(
-            f"full replan: {result['full_replan_wall_s']:.2f}s "
-            f"(speedup {result['speedup_vs_full']:.2f}x, "
-            f"{result['mismatches']} mismatches)"
-        )
-        if result["mismatches"]:
-            print("ERROR: incremental and full replanning disagree", file=sys.stderr)
-            return 1
     return 0
 
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Entry point for the repository's performance benchmarks.
 #
-# Runs the end-to-end trace-replay benchmark (incremental vs full
-# inter-Coflow replanning) at paper scale, the sweep-engine benchmark
+# Runs the end-to-end trace-replay benchmark (the inter-Coflow replay at
+# paper scale; with the extension built, the python and native planners
+# must produce identical records), the sweep-engine benchmark
 # (serial vs parallel vs cache-warm over a δ × seed grid), the
 # scheduler-kernel benchmark (numpy kernels vs the pure-Python oracle
 # pipelines in tests/oracles/), the packet-simulator benchmark

@@ -47,7 +47,7 @@
 /* Interned attribute/method names, created once at module init. */
 static PyObject *str__in_bounds, *str__in_refs, *str__out_bounds,
     *str__out_refs, *str__reservations, *str__ends, *str__ends_sorted,
-    *str_insert, *str_append, *str_frombytes, *str_src, *str_dst, *str_start,
+    *str_insert, *str_append, *str_src, *str_dst, *str_start,
     *str_end, *str_coflow_id, *str_setup;
 static PyObject *array_type;     /* array.array */
 static PyObject *typecode_d, *typecode_q;
@@ -1146,1240 +1146,6 @@ run_schedule(Ctx *c)
 }
 
 /* ------------------------------------------------------------------ */
-/* Replan-transaction kernels: rollback / replay / transform           */
-/*                                                                     */
-/* These operate on the same struct-of-arrays storage as the planner   */
-/* above but are called from `repro.core.prt` (rollback/replay) and    */
-/* `repro.sim.circuit_sim` (transform_continuation).  Contract:        */
-/*   - rollback raises on failure (the dispatcher has no fallback;     */
-/*     removal involves no float math, so it is trivially bitwise);    */
-/*   - replay returns True on success and False to decline — a decline */
-/*     (conflict, foreign types, corrupt table) happens strictly       */
-/*     before any mutation, so the pure-Python twin can re-run the     */
-/*     transaction and raise the byte-identical error;                 */
-/*   - transform_continuation returns the rebuilt head reservations,   */
-/*     None when a proof obligation fails, or False to decline to the  */
-/*     Python twin; it never mutates the table.                        */
-/* ------------------------------------------------------------------ */
-
-/* Highest port index the transaction kernels pack into int64 keys
- * ((src << 32) | dst); anything larger declines to Python. */
-#define NATIVE_MAX_PORT ((int64_t)INT32_MAX)
-
-typedef struct {
-    PyObject *in_bounds, *in_refs, *out_bounds, *out_refs; /* dicts, strong */
-    PyObject *journal;                                     /* list, strong */
-    PyObject *ends;                                        /* array('d'), strong */
-} PrtRefs;
-
-static void
-prt_refs_clear(PrtRefs *p)
-{
-    Py_XDECREF(p->in_bounds);
-    Py_XDECREF(p->in_refs);
-    Py_XDECREF(p->out_bounds);
-    Py_XDECREF(p->out_refs);
-    Py_XDECREF(p->journal);
-    Py_XDECREF(p->ends);
-    memset(p, 0, sizeof(PrtRefs));
-}
-
-static int
-prt_refs_init(PrtRefs *p, PyObject *prt)
-{
-    memset(p, 0, sizeof(PrtRefs));
-    p->in_bounds = PyObject_GetAttr(prt, str__in_bounds);
-    p->in_refs = PyObject_GetAttr(prt, str__in_refs);
-    p->out_bounds = PyObject_GetAttr(prt, str__out_bounds);
-    p->out_refs = PyObject_GetAttr(prt, str__out_refs);
-    p->journal = PyObject_GetAttr(prt, str__reservations);
-    p->ends = PyObject_GetAttr(prt, str__ends);
-    if (p->in_bounds == NULL || p->in_refs == NULL || p->out_bounds == NULL ||
-        p->out_refs == NULL || p->journal == NULL || p->ends == NULL)
-        goto fail;
-    if (!PyDict_Check(p->in_bounds) || !PyDict_Check(p->in_refs) ||
-        !PyDict_Check(p->out_bounds) || !PyDict_Check(p->out_refs) ||
-        !PyList_Check(p->journal)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "PRT storage layout does not match the native kernel");
-        goto fail;
-    }
-    return 0;
-fail:
-    prt_refs_clear(p);
-    return -1;
-}
-
-/* Field access on Reservation objects: through the resolved __slots__
- * offsets when the object is exactly the expected type, attribute
- * lookup otherwise.  Returns a strong reference. */
-typedef struct {
-    PyTypeObject *tp;
-    ResOffsets offs;
-    int offs_ok;
-} ResReader;
-
-static void
-res_reader_init(ResReader *r, PyTypeObject *tp)
-{
-    r->tp = tp;
-    r->offs.start = member_offset(tp, str_start);
-    r->offs.end = member_offset(tp, str_end);
-    r->offs.src = member_offset(tp, str_src);
-    r->offs.dst = member_offset(tp, str_dst);
-    r->offs.coflow_id = member_offset(tp, str_coflow_id);
-    r->offs.setup = member_offset(tp, str_setup);
-    r->offs_ok = r->offs.start >= 0 && r->offs.end >= 0 && r->offs.src >= 0 &&
-                 r->offs.dst >= 0 && r->offs.coflow_id >= 0 &&
-                 r->offs.setup >= 0;
-}
-
-static PyObject *
-res_field(const ResReader *r, PyObject *item, Py_ssize_t off, PyObject *name)
-{
-    if (r->offs_ok && Py_TYPE(item) == r->tp) {
-        PyObject *v = *(PyObject **)((char *)item + off);
-        if (v != NULL) {
-            Py_INCREF(v);
-            return v;
-        }
-    }
-    return PyObject_GetAttr(item, name);
-}
-
-/* Read the numeric fields of one reservation; NULL out-pointers skip
- * their field. */
-static int
-res_read(const ResReader *r, PyObject *item, double *start, double *end,
-         int64_t *src, int64_t *dst)
-{
-    PyObject *v;
-    if (start != NULL) {
-        v = res_field(r, item, r->offs.start, str_start);
-        if (v == NULL)
-            return -1;
-        *start = PyFloat_AsDouble(v);
-        Py_DECREF(v);
-        if (*start == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    if (end != NULL) {
-        v = res_field(r, item, r->offs.end, str_end);
-        if (v == NULL)
-            return -1;
-        *end = PyFloat_AsDouble(v);
-        Py_DECREF(v);
-        if (*end == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    if (src != NULL) {
-        v = res_field(r, item, r->offs.src, str_src);
-        if (v == NULL)
-            return -1;
-        *src = (int64_t)PyLong_AsLongLong(v);
-        Py_DECREF(v);
-        if (*src == -1 && PyErr_Occurred())
-            return -1;
-    }
-    if (dst != NULL) {
-        v = res_field(r, item, r->offs.dst, str_dst);
-        if (v == NULL)
-            return -1;
-        *dst = (int64_t)PyLong_AsLongLong(v);
-        Py_DECREF(v);
-        if (*dst == -1 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
-
-/* Open-addressing set of non-negative int64 keys (circuits packed as
- * (src << 32) | dst).  Capacity is fixed at init — `expect` must bound
- * the number of adds — so inserts never rehash. */
-typedef struct {
-    int64_t *keys;
-    size_t mask;
-} ISet;
-
-static int
-iset_init(ISet *s, size_t expect)
-{
-    size_t cap = 16;
-    while (cap < 2 * expect)
-        cap <<= 1;
-    s->keys = (int64_t *)PyMem_Malloc(cap * sizeof(int64_t));
-    if (s->keys == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (size_t i = 0; i < cap; i++)
-        s->keys[i] = -1;
-    s->mask = cap - 1;
-    return 0;
-}
-
-static inline size_t
-iset_slot(const ISet *s, int64_t key)
-{
-    size_t i = (size_t)(((uint64_t)key * UINT64_C(0x9E3779B97F4A7C15)) >> 32) &
-               s->mask;
-    while (s->keys[i] != -1 && s->keys[i] != key)
-        i = (i + 1) & s->mask;
-    return i;
-}
-
-static inline int
-iset_has(const ISet *s, int64_t key)
-{
-    return s->keys[iset_slot(s, key)] == key;
-}
-
-static inline void
-iset_add(ISet *s, int64_t key)
-{
-    s->keys[iset_slot(s, key)] = key;
-}
-
-static void
-iset_free(ISet *s)
-{
-    PyMem_Free(s->keys);
-    s->keys = NULL;
-}
-
-/* array.array(typecode, <raw bytes>) — the constructor routes bytes
- * through frombytes(), so values land bitwise. */
-static PyObject *
-array_from_bytes(PyObject *typecode, const void *data, Py_ssize_t nbytes)
-{
-    PyObject *bytes = PyBytes_FromStringAndSize((const char *)data, nbytes);
-    if (bytes == NULL)
-        return NULL;
-    PyObject *arr =
-        PyObject_CallFunctionObjArgs(array_type, typecode, bytes, NULL);
-    Py_DECREF(bytes);
-    return arr;
-}
-
-/* arr[:] = array(typecode, <raw bytes>) */
-static int
-assign_array(PyObject *arr, PyObject *typecode, const void *data,
-             Py_ssize_t nbytes)
-{
-    PyObject *na = array_from_bytes(typecode, data, nbytes);
-    if (na == NULL)
-        return -1;
-    int rv = PySequence_SetSlice(arr, 0, PY_SSIZE_T_MAX, na);
-    Py_DECREF(na);
-    return rv;
-}
-
-/* arr.frombytes(<raw bytes>) — bitwise twin of a run of appends. */
-static int
-extend_array_bytes(PyObject *arr, const void *data, Py_ssize_t nbytes)
-{
-    PyObject *bytes = PyBytes_FromStringAndSize((const char *)data, nbytes);
-    if (bytes == NULL)
-        return -1;
-    PyObject *r = PyObject_CallMethodObjArgs(arr, str_frombytes, bytes, NULL);
-    Py_DECREF(bytes);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* PortReservationTable._strip_port: drop the `count` entries with
- * journal ref >= token — one tail slice-delete in the common case, one
- * rebuilding filter pass otherwise. */
-static int
-strip_port_c(PyObject *bounds, PyObject *refs, int64_t token, Py_ssize_t count)
-{
-    Py_buffer rview;
-    if (PyObject_GetBuffer(refs, &rview, PyBUF_SIMPLE) < 0)
-        return -1;
-    const int64_t *rdata = (const int64_t *)rview.buf;
-    Py_ssize_t n = (Py_ssize_t)(rview.len / (Py_ssize_t)sizeof(int64_t));
-    Py_ssize_t j = n;
-    while (j > 0 && rdata[j - 1] >= token)
-        j--;
-    if (n - j == count) {
-        /* The undone entries form a contiguous tail. */
-        PyBuffer_Release(&rview);
-        if (PySequence_DelSlice(refs, j, PY_SSIZE_T_MAX) < 0)
-            return -1;
-        return PySequence_DelSlice(bounds, 2 * j, PY_SSIZE_T_MAX);
-    }
-    Py_buffer bview;
-    if (PyObject_GetBuffer(bounds, &bview, PyBUF_SIMPLE) < 0) {
-        PyBuffer_Release(&rview);
-        return -1;
-    }
-    const double *bdata = (const double *)bview.buf;
-    Py_ssize_t blen = (Py_ssize_t)(bview.len / (Py_ssize_t)sizeof(double));
-    if (blen < 2 * n) {
-        PyBuffer_Release(&bview);
-        PyBuffer_Release(&rview);
-        PyErr_SetString(PyExc_RuntimeError,
-                        "PRT port: bounds shorter than refs during rollback");
-        return -1;
-    }
-    /* Sized for the full table, not n - count: a corrupt count must not
-     * overflow the rebuild. */
-    size_t alloc = (size_t)(n > 0 ? n : 1);
-    int64_t *nr = (int64_t *)PyMem_Malloc(alloc * sizeof(int64_t));
-    double *nb = (double *)PyMem_Malloc(alloc * 2 * sizeof(double));
-    if (nr == NULL || nb == NULL) {
-        PyMem_Free(nr);
-        PyMem_Free(nb);
-        PyBuffer_Release(&bview);
-        PyBuffer_Release(&rview);
-        PyErr_NoMemory();
-        return -1;
-    }
-    Py_ssize_t w = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (rdata[i] < token) {
-            nr[w] = rdata[i];
-            nb[2 * w] = bdata[2 * i];
-            nb[2 * w + 1] = bdata[2 * i + 1];
-            w++;
-        }
-    }
-    PyBuffer_Release(&bview);
-    PyBuffer_Release(&rview);
-    int rv = assign_array(bounds, typecode_d, nb,
-                          (Py_ssize_t)(2 * w) * (Py_ssize_t)sizeof(double));
-    if (rv == 0)
-        rv = assign_array(refs, typecode_q, nr,
-                          (Py_ssize_t)w * (Py_ssize_t)sizeof(int64_t));
-    PyMem_Free(nr);
-    PyMem_Free(nb);
-    return rv;
-}
-
-static PyObject *
-native_prt_rollback(PyObject *self, PyObject *args)
-{
-    PyObject *prt;
-    Py_ssize_t token;
-    if (!PyArg_ParseTuple(args, "On:prt_rollback", &prt, &token))
-        return NULL;
-    PrtRefs p;
-    if (prt_refs_init(&p, prt) < 0)
-        return NULL;
-    PyObject *result = NULL;
-    int64_t *keys = NULL;
-    Py_ssize_t n = PyList_GET_SIZE(p.journal);
-    if (token < 0 || token > n) {
-        PyErr_Format(PyExc_ValueError,
-                     "invalid checkpoint token %zd for table of %zd", token,
-                     n);
-        goto done;
-    }
-    Py_ssize_t undone = n - token;
-    if (undone == 0) {
-        result = PyLong_FromLong(0);
-        goto done;
-    }
-    ResReader rd;
-    res_reader_init(&rd, Py_TYPE(PyList_GET_ITEM(p.journal, token)));
-    keys = (int64_t *)PyMem_Malloc((size_t)(2 * undone) * sizeof(int64_t));
-    if (keys == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < undone; i++) {
-        int64_t src, dst;
-        if (res_read(&rd, PyList_GET_ITEM(p.journal, token + i), NULL, NULL,
-                     &src, &dst) < 0)
-            goto done;
-        if (src < 0 || src > NATIVE_MAX_PORT || dst < 0 ||
-            dst > NATIVE_MAX_PORT) {
-            PyErr_Format(PyExc_OverflowError,
-                         "port index out of native kernel range during "
-                         "rollback (src=%lld, dst=%lld)",
-                         (long long)src, (long long)dst);
-            goto done;
-        }
-        keys[2 * i] = src * 2;
-        keys[2 * i + 1] = dst * 2 + 1;
-    }
-    qsort(keys, (size_t)(2 * undone), sizeof(int64_t), int64_key_cmp);
-    Py_ssize_t i = 0;
-    while (i < 2 * undone) {
-        Py_ssize_t runlen = 1;
-        while (i + runlen < 2 * undone && keys[i + runlen] == keys[i])
-            runlen++;
-        int64_t key = keys[i];
-        int is_input = (key & 1) == 0;
-        int64_t port = is_input ? key / 2 : (key - 1) / 2;
-        PyObject *port_obj = PyLong_FromLongLong((long long)port);
-        if (port_obj == NULL)
-            goto done;
-        PyObject *bmap = is_input ? p.in_bounds : p.out_bounds;
-        PyObject *rmap = is_input ? p.in_refs : p.out_refs;
-        PyObject *bounds = PyDict_GetItemWithError(bmap, port_obj);
-        if (bounds == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetObject(PyExc_KeyError, port_obj);
-            Py_DECREF(port_obj);
-            goto done;
-        }
-        PyObject *refs = PyDict_GetItemWithError(rmap, port_obj);
-        if (refs == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetObject(PyExc_KeyError, port_obj);
-            Py_DECREF(port_obj);
-            goto done;
-        }
-        Py_INCREF(bounds);
-        Py_INCREF(refs);
-        Py_DECREF(port_obj);
-        int rv = strip_port_c(bounds, refs, (int64_t)token, runlen);
-        Py_DECREF(bounds);
-        Py_DECREF(refs);
-        if (rv < 0)
-            goto done;
-        i += runlen;
-    }
-    if (PyList_SetSlice(p.journal, token, PY_SSIZE_T_MAX, NULL) < 0)
-        goto done;
-    if (PySequence_DelSlice(p.ends, token, PY_SSIZE_T_MAX) < 0)
-        goto done;
-    if (PyObject_SetAttr(prt, str__ends_sorted, Py_None) < 0)
-        goto done;
-    result = PyLong_FromSsize_t(undone);
-done:
-    PyMem_Free(keys);
-    prt_refs_clear(&p);
-    return result;
-}
-
-/* One port-side record of one replayed reservation; sorting by
- * (key, start, end, ref) groups ports and reproduces the per-port
- * `items.sort()` of the Python twin (refs are unique, so the order is
- * total). */
-typedef struct {
-    int64_t key;
-    double start, end;
-    int64_t ref;
-} RRec;
-
-static int
-rrec_cmp(const void *pa, const void *pb)
-{
-    const RRec *a = (const RRec *)pa, *b = (const RRec *)pb;
-    if (a->key != b->key)
-        return a->key < b->key ? -1 : 1;
-    if (a->start < b->start)
-        return -1;
-    if (a->start > b->start)
-        return 1;
-    if (a->end < b->end)
-        return -1;
-    if (a->end > b->end)
-        return 1;
-    if (a->ref != b->ref)
-        return a->ref < b->ref ? -1 : 1;
-    return 0;
-}
-
-/* One staged per-port merge result, applied only after every port
- * validated. */
-typedef struct {
-    PyObject *port_obj;       /* strong */
-    PyObject *bounds, *refs;  /* strong or NULL (op == 0) */
-    int is_input;
-    int op;                   /* 0 create, 1 append, 2 assign */
-    double *bdata;            /* 2 * pairs staged boundaries */
-    int64_t *rdata;           /* pairs staged refs */
-    Py_ssize_t pairs;
-} StagePort;
-
-/* Validate + stage one port's run of replayed records.  Returns 1 when
- * staged, 0 to decline to the Python twin (conflict or anything
- * unexpected — nothing has been mutated), -1 on hard (OOM-class)
- * errors. */
-static int
-stage_run(PrtRefs *p, const RRec *recs, Py_ssize_t count, StagePort *st,
-          double eps)
-{
-    int64_t key = recs[0].key;
-    st->is_input = (key & 1) == 0;
-    int64_t port = st->is_input ? key / 2 : (key - 1) / 2;
-    st->port_obj = PyLong_FromLongLong((long long)port);
-    if (st->port_obj == NULL)
-        return -1;
-    PyObject *bmap = st->is_input ? p->in_bounds : p->out_bounds;
-    PyObject *rmap = st->is_input ? p->in_refs : p->out_refs;
-    PyObject *bounds = PyDict_GetItemWithError(bmap, st->port_obj);
-    if (bounds == NULL && PyErr_Occurred()) {
-        PyErr_Clear();
-        return 0;
-    }
-    PyObject *refs = NULL;
-    if (bounds != NULL) {
-        refs = PyDict_GetItemWithError(rmap, st->port_obj);
-        if (refs == NULL) {
-            PyErr_Clear();
-            return 0;  /* bounds without refs: the twin raises KeyError */
-        }
-    }
-    Py_XINCREF(bounds);
-    Py_XINCREF(refs);
-    st->bounds = bounds;
-    st->refs = refs;
-
-    Py_buffer bview;
-    const double *bdata = NULL;
-    Py_ssize_t blen = 0;
-    int have_bview = 0;
-    if (bounds != NULL) {
-        if (PyObject_GetBuffer(bounds, &bview, PyBUF_SIMPLE) < 0) {
-            PyErr_Clear();
-            return 0;
-        }
-        have_bview = 1;
-        bdata = (const double *)bview.buf;
-        blen = (Py_ssize_t)(bview.len / (Py_ssize_t)sizeof(double));
-    }
-
-    if (blen == 0 || bdata[blen - 1] <= recs[0].start + eps) {
-        /* Pure tail append: only the new items check against each
-         * other. */
-        if (have_bview)
-            PyBuffer_Release(&bview);
-        st->bdata = (double *)PyMem_Malloc((size_t)(2 * count) * sizeof(double));
-        st->rdata = (int64_t *)PyMem_Malloc((size_t)count * sizeof(int64_t));
-        if (st->bdata == NULL || st->rdata == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        double prev_end = -HUGE_VAL;
-        for (Py_ssize_t k = 0; k < count; k++) {
-            if (prev_end > recs[k].start + eps)
-                return 0;  /* conflict: the twin raises it */
-            st->bdata[2 * k] = recs[k].start;
-            st->bdata[2 * k + 1] = recs[k].end;
-            st->rdata[k] = recs[k].ref;
-            prev_end = recs[k].end;
-        }
-        st->pairs = count;
-        st->op = bounds == NULL ? 0 : 1;
-        return 1;
-    }
-
-    /* Merge with the existing timeline. */
-    Py_buffer rview;
-    if (PyObject_GetBuffer(refs, &rview, PyBUF_SIMPLE) < 0) {
-        PyErr_Clear();
-        PyBuffer_Release(&bview);
-        return 0;
-    }
-    const int64_t *rdata = (const int64_t *)rview.buf;
-    Py_ssize_t n_exist = (Py_ssize_t)(rview.len / (Py_ssize_t)sizeof(int64_t));
-    if (blen != 2 * n_exist) {
-        PyBuffer_Release(&rview);
-        PyBuffer_Release(&bview);
-        return 0;
-    }
-    Py_ssize_t total = n_exist + count;
-    st->bdata = (double *)PyMem_Malloc((size_t)(2 * total) * sizeof(double));
-    st->rdata = (int64_t *)PyMem_Malloc((size_t)total * sizeof(int64_t));
-    if (st->bdata == NULL || st->rdata == NULL) {
-        PyBuffer_Release(&rview);
-        PyBuffer_Release(&bview);
-        PyErr_NoMemory();
-        return -1;
-    }
-    Py_ssize_t i = 0, k = 0, w = 0;
-    double prev_end = -HUGE_VAL;
-    int conflict = 0;
-    while (i < n_exist || k < count) {
-        double start, end;
-        int64_t ref;
-        /* Ties go to the new item, matching `_insert`'s bisect_left
-         * placement of equal starts. */
-        if (k < count && (i >= n_exist || recs[k].start <= bdata[2 * i])) {
-            start = recs[k].start;
-            end = recs[k].end;
-            ref = recs[k].ref;
-            k++;
-        }
-        else {
-            start = bdata[2 * i];
-            end = bdata[2 * i + 1];
-            ref = rdata[i];
-            i++;
-        }
-        if (prev_end > start + eps) {
-            conflict = 1;
-            break;
-        }
-        st->bdata[2 * w] = start;
-        st->bdata[2 * w + 1] = end;
-        st->rdata[w] = ref;
-        prev_end = end;
-        w++;
-    }
-    PyBuffer_Release(&rview);
-    PyBuffer_Release(&bview);
-    if (conflict)
-        return 0;
-    st->pairs = total;
-    st->op = 2;
-    return 1;
-}
-
-static PyObject *
-native_prt_replay(PyObject *self, PyObject *args)
-{
-    PyObject *prt, *reservations;
-    double eps;
-    if (!PyArg_ParseTuple(args, "OOd:prt_replay", &prt, &reservations, &eps))
-        return NULL;
-    PrtRefs p;
-    if (prt_refs_init(&p, prt) < 0)
-        return NULL;
-    PyObject *result = NULL;
-    PyObject *seq = NULL;
-    RRec *recs = NULL;
-    double *ends_d = NULL;
-    StagePort *stages = NULL;
-    Py_ssize_t nstages = 0;
-
-    seq = PySequence_Fast(reservations, "reservations must be a sequence");
-    if (seq == NULL) {
-        PyErr_Clear();
-        result = Py_False;
-        Py_INCREF(result);
-        goto done;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (n == 0) {
-        result = Py_True;
-        Py_INCREF(result);
-        goto done;
-    }
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    Py_ssize_t base = PyList_GET_SIZE(p.journal);
-
-    recs = (RRec *)PyMem_Malloc((size_t)(2 * n) * sizeof(RRec));
-    ends_d = (double *)PyMem_Malloc((size_t)n * sizeof(double));
-    if (recs == NULL || ends_d == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    ResReader rd;
-    res_reader_init(&rd, Py_TYPE(items[0]));
-    for (Py_ssize_t i = 0; i < n; i++) {
-        double start, end;
-        int64_t src, dst;
-        if (res_read(&rd, items[i], &start, &end, &src, &dst) < 0) {
-            PyErr_Clear();
-            result = Py_False;
-            Py_INCREF(result);
-            goto done;
-        }
-        if (src < 0 || src > NATIVE_MAX_PORT || dst < 0 ||
-            dst > NATIVE_MAX_PORT) {
-            result = Py_False;
-            Py_INCREF(result);
-            goto done;
-        }
-        recs[2 * i].key = src * 2;
-        recs[2 * i + 1].key = dst * 2 + 1;
-        recs[2 * i].start = recs[2 * i + 1].start = start;
-        recs[2 * i].end = recs[2 * i + 1].end = end;
-        recs[2 * i].ref = recs[2 * i + 1].ref = base + i;
-        ends_d[i] = end;
-    }
-    qsort(recs, (size_t)(2 * n), sizeof(RRec), rrec_cmp);
-
-    stages = (StagePort *)PyMem_Calloc((size_t)(2 * n), sizeof(StagePort));
-    if (stages == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    Py_ssize_t a = 0;
-    while (a < 2 * n) {
-        Py_ssize_t runlen = 1;
-        while (a + runlen < 2 * n && recs[a + runlen].key == recs[a].key)
-            runlen++;
-        int rv = stage_run(&p, recs + a, runlen, &stages[nstages], eps);
-        nstages++;
-        if (rv < 0)
-            goto done;
-        if (rv == 0) {
-            result = Py_False;
-            Py_INCREF(result);
-            goto done;
-        }
-        a += runlen;
-    }
-
-    /* Apply.  Nothing above mutated the table; failures from here on are
-     * OOM-class and raise. */
-    for (Py_ssize_t s = 0; s < nstages; s++) {
-        StagePort *st = &stages[s];
-        Py_ssize_t bbytes = (Py_ssize_t)(2 * st->pairs) * (Py_ssize_t)sizeof(double);
-        Py_ssize_t rbytes = (Py_ssize_t)st->pairs * (Py_ssize_t)sizeof(int64_t);
-        if (st->op == 0) {
-            PyObject *nb = array_from_bytes(typecode_d, st->bdata, bbytes);
-            if (nb == NULL)
-                goto done;
-            PyObject *nr = array_from_bytes(typecode_q, st->rdata, rbytes);
-            if (nr == NULL) {
-                Py_DECREF(nb);
-                goto done;
-            }
-            PyObject *bmap = st->is_input ? p.in_bounds : p.out_bounds;
-            PyObject *rmap = st->is_input ? p.in_refs : p.out_refs;
-            int rv = PyDict_SetItem(bmap, st->port_obj, nb);
-            if (rv == 0)
-                rv = PyDict_SetItem(rmap, st->port_obj, nr);
-            Py_DECREF(nb);
-            Py_DECREF(nr);
-            if (rv < 0)
-                goto done;
-        }
-        else if (st->op == 1) {
-            if (extend_array_bytes(st->bounds, st->bdata, bbytes) < 0 ||
-                extend_array_bytes(st->refs, st->rdata, rbytes) < 0)
-                goto done;
-        }
-        else {
-            if (assign_array(st->bounds, typecode_d, st->bdata, bbytes) < 0 ||
-                assign_array(st->refs, typecode_q, st->rdata, rbytes) < 0)
-                goto done;
-        }
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (PyList_Append(p.journal, items[i]) < 0)
-            goto done;
-    }
-    if (extend_array_bytes(p.ends, ends_d,
-                           (Py_ssize_t)n * (Py_ssize_t)sizeof(double)) < 0)
-        goto done;
-    if (PyObject_SetAttr(prt, str__ends_sorted, Py_None) < 0)
-        goto done;
-    result = Py_True;
-    Py_INCREF(result);
-done:
-    if (stages != NULL) {
-        for (Py_ssize_t s = 0; s < nstages; s++) {
-            Py_XDECREF(stages[s].port_obj);
-            Py_XDECREF(stages[s].bounds);
-            Py_XDECREF(stages[s].refs);
-            PyMem_Free(stages[s].bdata);
-            PyMem_Free(stages[s].rdata);
-        }
-        PyMem_Free(stages);
-    }
-    PyMem_Free(recs);
-    PyMem_Free(ends_d);
-    Py_XDECREF(seq);
-    prt_refs_clear(&p);
-    return result;
-}
-
-/* Construct one Reservation (start/end/src/dst objects are reused, not
- * re-created, so the result is identity-equivalent to the Python twin's
- * `Reservation(start=now, end=old.end, ...)`). */
-static PyObject *
-build_reservation(const ResReader *rd, PyObject *res_type, PyObject *start_obj,
-                  PyObject *end_obj, PyObject *src_obj, PyObject *dst_obj,
-                  PyObject *cid, PyObject *setup_obj)
-{
-    PyTypeObject *tp = (PyTypeObject *)res_type;
-    PyObject *res = tp->tp_new(tp, empty_tuple, NULL);
-    if (res == NULL)
-        return NULL;
-    if (rd->offs_ok && Py_TYPE(res) == rd->tp) {
-        char *basep = (char *)res;
-        Py_INCREF(start_obj);
-        *(PyObject **)(basep + rd->offs.start) = start_obj;
-        Py_INCREF(end_obj);
-        *(PyObject **)(basep + rd->offs.end) = end_obj;
-        Py_INCREF(src_obj);
-        *(PyObject **)(basep + rd->offs.src) = src_obj;
-        Py_INCREF(dst_obj);
-        *(PyObject **)(basep + rd->offs.dst) = dst_obj;
-        Py_INCREF(cid);
-        *(PyObject **)(basep + rd->offs.coflow_id) = cid;
-        Py_INCREF(setup_obj);
-        *(PyObject **)(basep + rd->offs.setup) = setup_obj;
-    }
-    else if (PyObject_SetAttr(res, str_start, start_obj) < 0 ||
-             PyObject_SetAttr(res, str_end, end_obj) < 0 ||
-             PyObject_SetAttr(res, str_src, src_obj) < 0 ||
-             PyObject_SetAttr(res, str_dst, dst_obj) < 0 ||
-             PyObject_SetAttr(res, str_coflow_id, cid) < 0 ||
-             PyObject_SetAttr(res, str_setup, setup_obj) < 0) {
-        Py_DECREF(res);
-        return NULL;
-    }
-    return res;
-}
-
-/* `PortReservationTable.input_reservation_at` (is_input) /
- * `output_reservation_at`, reduced to "does the covering reservation
- * count for the blocked-at-now proof".  Returns 1 (counts), 0 (no
- * covering reservation, or its coflow is not in above_ids), or -1 to
- * decline the whole transform (errors are cleared — nothing has been
- * mutated). */
-static int
-covering_check(PrtRefs *p, const ResReader *rd, int is_input, int64_t port,
-               double t_eps, PyObject *above_ids)
-{
-    PyObject *port_obj = PyLong_FromLongLong((long long)port);
-    if (port_obj == NULL) {
-        PyErr_Clear();
-        return -1;
-    }
-    PyObject *bmap = is_input ? p->in_bounds : p->out_bounds;
-    PyObject *rmap = is_input ? p->in_refs : p->out_refs;
-    PyObject *bounds = PyDict_GetItemWithError(bmap, port_obj);
-    if (bounds == NULL) {
-        Py_DECREF(port_obj);
-        if (PyErr_Occurred()) {
-            PyErr_Clear();
-            return -1;
-        }
-        return 0;
-    }
-    Py_buffer bview;
-    if (PyObject_GetBuffer(bounds, &bview, PyBUF_SIMPLE) < 0) {
-        PyErr_Clear();
-        Py_DECREF(port_obj);
-        return -1;
-    }
-    Py_ssize_t blen = (Py_ssize_t)(bview.len / (Py_ssize_t)sizeof(double));
-    Py_ssize_t idx =
-        blen ? bisect_right_d((const double *)bview.buf, blen, t_eps) : 0;
-    PyBuffer_Release(&bview);
-    if (blen == 0 || (idx & 1) == 0) {
-        Py_DECREF(port_obj);
-        return 0;
-    }
-    PyObject *refs = PyDict_GetItemWithError(rmap, port_obj);
-    Py_DECREF(port_obj);
-    if (refs == NULL) {
-        PyErr_Clear();
-        return -1;
-    }
-    Py_buffer rview;
-    if (PyObject_GetBuffer(refs, &rview, PyBUF_SIMPLE) < 0) {
-        PyErr_Clear();
-        return -1;
-    }
-    Py_ssize_t ri = idx >> 1;
-    Py_ssize_t rlen = (Py_ssize_t)(rview.len / (Py_ssize_t)sizeof(int64_t));
-    int64_t ref = -1;
-    if (ri < rlen)
-        ref = ((const int64_t *)rview.buf)[ri];
-    PyBuffer_Release(&rview);
-    if (ref < 0 || ref >= PyList_GET_SIZE(p->journal))
-        return -1;
-    if (above_ids == Py_None)
-        return 1;
-    PyObject *cf = res_field(rd, PyList_GET_ITEM(p->journal, ref),
-                             rd->offs.coflow_id, str_coflow_id);
-    if (cf == NULL) {
-        PyErr_Clear();
-        return -1;
-    }
-    int in = PySequence_Contains(above_ids, cf);
-    Py_DECREF(cf);
-    if (in < 0) {
-        PyErr_Clear();
-        return -1;
-    }
-    return in ? 1 : 0;
-}
-
-static PyObject *
-native_transform_continuation(PyObject *self, PyObject *args)
-{
-    PyObject *prt, *res_type, *cid, *res_seq_obj, *established, *remaining,
-        *banked, *above_ids;
-    double now, delta, eps;
-    Py_ssize_t cutoff;
-    if (!PyArg_ParseTuple(args, "OOOdddOnOOOO:transform_continuation", &prt,
-                          &res_type, &cid, &now, &delta, &eps, &res_seq_obj,
-                          &cutoff, &established, &remaining, &banked,
-                          &above_ids))
-        return NULL;
-    if (!PyType_Check(res_type) || !PyDict_Check(established) ||
-        !PyDict_Check(remaining))
-        Py_RETURN_FALSE;
-    int banked_empty = PyAnySet_Check(banked) && PySet_GET_SIZE(banked) == 0;
-
-    PrtRefs p;
-    if (prt_refs_init(&p, prt) < 0) {
-        PyErr_Clear();
-        Py_RETURN_FALSE;
-    }
-    PyObject *seq = PySequence_Fast(res_seq_obj, "reservations must be a sequence");
-    if (seq == NULL) {
-        PyErr_Clear();
-        prt_refs_clear(&p);
-        Py_RETURN_FALSE;
-    }
-    Py_ssize_t nres = PySequence_Fast_GET_SIZE(seq);
-    if (cutoff < 0)
-        cutoff = 0;
-    if (cutoff > nres)
-        cutoff = nres;
-
-    ResReader rd;
-    res_reader_init(&rd, (PyTypeObject *)res_type);
-
-    int fail = 0, decline = 0, error = 0;
-    PyObject *result = NULL;
-    PyObject *heads = NULL, *now_obj = NULL, *delta_obj = NULL;
-    int64_t *head_src = NULL, *head_dst = NULL;
-    Py_ssize_t nheads = 0;
-    ISet pending;
-    pending.keys = NULL;
-
-    heads = PyList_New(0);
-    now_obj = PyFloat_FromDouble(now);
-    delta_obj = PyFloat_FromDouble(delta);
-    size_t head_alloc = (size_t)(cutoff > 0 ? cutoff : 1);
-    head_src = (int64_t *)PyMem_Malloc(head_alloc * sizeof(int64_t));
-    head_dst = (int64_t *)PyMem_Malloc(head_alloc * sizeof(int64_t));
-    if (heads == NULL || now_obj == NULL || delta_obj == NULL ||
-        head_src == NULL || head_dst == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_NoMemory();
-        error = 1;
-        goto done;
-    }
-    if (iset_init(&pending, (size_t)(nres - cutoff) + 1) < 0) {
-        error = 1;
-        goto done;
-    }
-
-    /* Established heads: every reservation covering `now` must be an
-     * anchored established circuit whose recomputed continuation lands
-     * on its end exactly. */
-    for (Py_ssize_t i = 0; i < cutoff && !fail && !decline; i++) {
-        PyObject *old = PySequence_Fast_GET_ITEM(seq, i);
-        PyObject *end_obj = res_field(&rd, old, rd.offs.end, str_end);
-        if (end_obj == NULL) {
-            PyErr_Clear();
-            decline = 1;
-            break;
-        }
-        if (!PyFloat_CheckExact(end_obj)) {
-            Py_DECREF(end_obj);
-            decline = 1;
-            break;
-        }
-        double end_d = PyFloat_AS_DOUBLE(end_obj);
-        if (now >= end_d - eps) {
-            Py_DECREF(end_obj);
-            continue;  /* fully in the past: constrains nothing ahead */
-        }
-        PyObject *src_obj = res_field(&rd, old, rd.offs.src, str_src);
-        PyObject *dst_obj =
-            src_obj ? res_field(&rd, old, rd.offs.dst, str_dst) : NULL;
-        if (src_obj == NULL || dst_obj == NULL) {
-            PyErr_Clear();
-            Py_XDECREF(src_obj);
-            Py_XDECREF(end_obj);
-            decline = 1;
-            break;
-        }
-        int64_t src = PyLong_CheckExact(src_obj)
-                          ? (int64_t)PyLong_AsLongLong(src_obj)
-                          : -1;
-        int64_t dst = PyLong_CheckExact(dst_obj)
-                          ? (int64_t)PyLong_AsLongLong(dst_obj)
-                          : -1;
-        if (PyErr_Occurred() || src < 0 || src > NATIVE_MAX_PORT || dst < 0 ||
-            dst > NATIVE_MAX_PORT) {
-            PyErr_Clear();
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            decline = 1;
-            break;
-        }
-        int dup = 0;
-        for (Py_ssize_t j = 0; j < nheads; j++) {
-            if (head_src[j] == src) {
-                dup = 1;
-                break;
-            }
-        }
-        PyObject *key = PyTuple_Pack(2, src_obj, dst_obj);
-        if (key == NULL) {
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            error = 1;
-            break;
-        }
-        PyObject *est = PyDict_GetItemWithError(established, key);
-        if (est == NULL && PyErr_Occurred()) {
-            PyErr_Clear();
-            Py_DECREF(key);
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            decline = 1;
-            break;
-        }
-        if (est == NULL || dup) {
-            Py_DECREF(key);
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            fail = 1;
-            break;
-        }
-        Py_INCREF(est);
-        if (!PyTuple_Check(est) || PyTuple_GET_SIZE(est) != 2 ||
-            !PyFloat_CheckExact(PyTuple_GET_ITEM(est, 0))) {
-            Py_DECREF(est);
-            Py_DECREF(key);
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            decline = 1;
-            break;
-        }
-        PyObject *est0_obj = PyTuple_GET_ITEM(est, 0);
-        PyObject *est1_obj = PyTuple_GET_ITEM(est, 1);
-        /* est[1] != old.end — the anchor must be the float equal to the
-         * old end (None or a foreign type can never compare equal). */
-        int anchor_ok = PyFloat_CheckExact(est1_obj) &&
-                        PyFloat_AS_DOUBLE(est1_obj) == end_d;
-        if (!anchor_ok && est1_obj != Py_None &&
-            !PyFloat_CheckExact(est1_obj)) {
-            Py_DECREF(est);
-            Py_DECREF(key);
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            decline = 1;
-            break;
-        }
-        double rem = 0.0;
-        PyObject *remv = PyDict_GetItemWithError(remaining, key);
-        Py_DECREF(key);
-        if (remv == NULL && PyErr_Occurred()) {
-            PyErr_Clear();
-            Py_DECREF(est);
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            decline = 1;
-            break;
-        }
-        if (remv != NULL) {
-            rem = PyFloat_AsDouble(remv);
-            if (rem == -1.0 && PyErr_Occurred()) {
-                PyErr_Clear();
-                Py_DECREF(est);
-                Py_DECREF(src_obj);
-                Py_DECREF(dst_obj);
-                Py_DECREF(end_obj);
-                decline = 1;
-                break;
-            }
-        }
-        double est0 = PyFloat_AS_DOUBLE(est0_obj);
-        double setup = est0 < delta ? est0 : delta;  /* min(delta, est[0]) */
-        if (!anchor_ok || rem <= eps ||
-            fabs(now + (setup + rem) - end_d) > eps) {
-            Py_DECREF(est);
-            Py_DECREF(src_obj);
-            Py_DECREF(dst_obj);
-            Py_DECREF(end_obj);
-            fail = 1;
-            break;
-        }
-        PyObject *setup_obj = est0 < delta ? est0_obj : delta_obj;
-        PyObject *head = build_reservation(&rd, res_type, now_obj, end_obj,
-                                           src_obj, dst_obj, cid, setup_obj);
-        Py_DECREF(est);
-        Py_DECREF(src_obj);
-        Py_DECREF(dst_obj);
-        Py_DECREF(end_obj);
-        if (head == NULL) {
-            error = 1;
-            break;
-        }
-        int rv = PyList_Append(heads, head);
-        Py_DECREF(head);
-        if (rv < 0) {
-            error = 1;
-            break;
-        }
-        head_src[nheads] = src;
-        head_dst[nheads] = dst;
-        nheads++;
-    }
-    if (!fail && !decline && !error && nheads != PyDict_Size(established))
-        fail = 1;
-
-    /* Future reservations: every one must be provably blocked at `now`
-     * (by one of this Coflow's own preceding heads, or by a covering
-     * reservation of a layer above). */
-    for (Py_ssize_t i = cutoff; i < nres && !fail && !decline && !error; i++) {
-        PyObject *fut = PySequence_Fast_GET_ITEM(seq, i);
-        int64_t src, dst;
-        if (res_read(&rd, fut, NULL, NULL, &src, &dst) < 0) {
-            PyErr_Clear();
-            decline = 1;
-            break;
-        }
-        if (src < 0 || src > NATIVE_MAX_PORT || dst < 0 ||
-            dst > NATIVE_MAX_PORT) {
-            decline = 1;
-            break;
-        }
-        int64_t ckey = (src << 32) | dst;
-        if (iset_has(&pending, ckey))
-            continue;
-        int have_hd = 0;
-        int64_t hd = -1;
-        for (Py_ssize_t j = 0; j < nheads; j++) {
-            if (head_src[j] == src) {
-                have_hd = 1;
-                hd = head_dst[j];
-                break;
-            }
-        }
-        if (have_hd && hd == dst) {
-            fail = 1;  /* overflow of an established circuit */
-            break;
-        }
-        if (!banked_empty) {
-            PyObject *key = Py_BuildValue("(LL)", (long long)src,
-                                          (long long)dst);
-            if (key == NULL) {
-                error = 1;
-                break;
-            }
-            int in = PySequence_Contains(banked, key);
-            Py_DECREF(key);
-            if (in < 0) {
-                PyErr_Clear();
-                decline = 1;
-                break;
-            }
-            if (in) {
-                fail = 1;  /* re-banked since the plan was computed */
-                break;
-            }
-        }
-        if (have_hd && hd < dst) {
-            iset_add(&pending, ckey);
-            continue;
-        }
-        int have_hs = 0;
-        int64_t hs = -1;
-        for (Py_ssize_t j = 0; j < nheads; j++) {
-            if (head_dst[j] == dst) {
-                have_hs = 1;
-                hs = head_src[j];
-                break;
-            }
-        }
-        if (have_hs && hs < src) {
-            iset_add(&pending, ckey);
-            continue;
-        }
-        int covered = covering_check(&p, &rd, 1, src, now + eps, above_ids);
-        if (covered == 0)
-            covered = covering_check(&p, &rd, 0, dst, now + eps, above_ids);
-        if (covered < 0) {
-            decline = 1;
-            break;
-        }
-        if (covered == 0) {
-            fail = 1;  /* free on both ports: the recompute could diverge */
-            break;
-        }
-        iset_add(&pending, ckey);
-    }
-
-    /* The demand the plan serves must cover exactly the circuits with
-     * remaining demand. */
-    if (!fail && !decline && !error) {
-        Py_ssize_t pos = 0;
-        PyObject *k, *v;
-        while (PyDict_Next(remaining, &pos, &k, &v)) {
-            double rem = PyFloat_AsDouble(v);
-            if (rem == -1.0 && PyErr_Occurred()) {
-                PyErr_Clear();
-                decline = 1;
-                break;
-            }
-            if (rem <= eps)
-                continue;
-            if (!PyTuple_Check(k) || PyTuple_GET_SIZE(k) != 2 ||
-                !PyLong_CheckExact(PyTuple_GET_ITEM(k, 0)) ||
-                !PyLong_CheckExact(PyTuple_GET_ITEM(k, 1))) {
-                decline = 1;
-                break;
-            }
-            int64_t cs = (int64_t)PyLong_AsLongLong(PyTuple_GET_ITEM(k, 0));
-            int64_t cd = (int64_t)PyLong_AsLongLong(PyTuple_GET_ITEM(k, 1));
-            if (PyErr_Occurred() || cs < 0 || cs > NATIVE_MAX_PORT || cd < 0 ||
-                cd > NATIVE_MAX_PORT) {
-                PyErr_Clear();
-                decline = 1;
-                break;
-            }
-            if (iset_has(&pending, (cs << 32) | cd))
-                continue;
-            int served = 0;
-            for (Py_ssize_t j = 0; j < nheads; j++) {
-                if (head_src[j] == cs) {
-                    served = head_dst[j] == cd;
-                    break;
-                }
-            }
-            if (!served) {
-                fail = 1;
-                break;
-            }
-        }
-    }
-
-done:
-    if (error)
-        result = NULL;
-    else if (decline) {
-        result = Py_False;
-        Py_INCREF(result);
-    }
-    else if (fail) {
-        result = Py_None;
-        Py_INCREF(result);
-    }
-    else {
-        result = heads;
-        heads = NULL;  /* transfer */
-    }
-    Py_XDECREF(heads);
-    Py_XDECREF(now_obj);
-    Py_XDECREF(delta_obj);
-    PyMem_Free(head_src);
-    PyMem_Free(head_dst);
-    iset_free(&pending);
-    Py_DECREF(seq);
-    prt_refs_clear(&p);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
 /* Entry point                                                         */
 /* ------------------------------------------------------------------ */
 
@@ -2572,27 +1338,6 @@ static PyMethodDef native_methods[] = {
      "schedule_demand fused with _pack_demand: consumes a PackedDemand's\n"
      "sorted (srcs, dsts, vals) columns directly.  Returns the number of\n"
      "entries with demand above eps (0 means nothing was planned)."},
-    {"prt_rollback", native_prt_rollback, METH_VARARGS,
-     "prt_rollback(prt, token)\n\n"
-     "Batched PortReservationTable.rollback: truncates the journal and\n"
-     "ends column to `token` and strips every touched port timeline in\n"
-     "one pass.  Returns the number of reservations undone."},
-    {"prt_replay", native_prt_replay, METH_VARARGS,
-     "prt_replay(prt, reservations, eps)\n\n"
-     "Batched PortReservationTable.replay: validates and merges the\n"
-     "batch into each port timeline in one call.  Returns True on\n"
-     "success; returns False (table untouched) on conflict or any\n"
-     "unexpected input so the Python twin can re-run and raise the\n"
-     "byte-identical error."},
-    {"transform_continuation", native_transform_continuation, METH_VARARGS,
-     "transform_continuation(prt, reservation_cls, coflow_id, now, delta, "
-     "eps, reservations, cutoff, established, remaining, banked, above_ids)"
-     "\n\n"
-     "The incremental replanner's continuation-transform proof on the\n"
-     "PRT's array buffers.  Returns the rebuilt head reservations on\n"
-     "success, None when a proof obligation fails (caller recomputes),\n"
-     "or False to decline to the pure-Python twin.  Never mutates the\n"
-     "table."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2622,7 +1367,6 @@ PyInit__native(void)
     INTERN(str__ends_sorted, "_ends_sorted");
     INTERN(str_insert, "insert");
     INTERN(str_append, "append");
-    INTERN(str_frombytes, "frombytes");
     INTERN(str_src, "src");
     INTERN(str_dst, "dst");
     INTERN(str_start, "start");

@@ -1,16 +1,16 @@
 """The one kernel-backend switch, ``REPRO_KERNEL``, read only here.
 
-The Sunflow planner and the PRT replan transactions have a compiled twin
-in :mod:`repro._native`; the pair is bitwise identical, so the backend
-changes speed, never results.  The switch picks only that pair: the
-baseline schedulers and the packet simulator always run their numpy
-kernels (:mod:`repro.kernels`), whose pure-Python twins are test oracles.
+The Sunflow planner has a compiled twin in :mod:`repro._native`; the two
+are bitwise identical, so the backend changes speed, never results.  The
+switch picks only the planner: the baseline schedulers and the packet
+simulator always run their numpy kernels (:mod:`repro.kernels`), whose
+pure-Python twins are test oracles.
 
 =============  ========================================================
 unset/empty    ``native`` if the extension is built, else ``python``
-``native``     the extension; without it, the Python twins and one
+``native``     the extension; without it, the Python planner and one
                :class:`RuntimeWarning` per process
-``python``     the pure-Python planner and PRT transactions
+``python``     the pure-Python planner
 other          :class:`ValueError` naming the accepted values
 =============  ========================================================
 
@@ -37,13 +37,7 @@ ENV = "REPRO_KERNEL"
 BACKENDS = ("python", "native")
 
 #: Functions the compiled extension must export to be used at all.
-ENTRY_POINTS = (
-    "schedule_demand",
-    "schedule_demand_packed",
-    "prt_rollback",
-    "prt_replay",
-    "transform_continuation",
-)
+ENTRY_POINTS = ("schedule_demand", "schedule_demand_packed")
 
 #: Raw ``os.environ.get(ENV)`` -> (backend name, extension or None).
 _resolved: Dict[Optional[str], Tuple[str, Optional[ModuleType]]] = {}
@@ -86,9 +80,9 @@ def _resolve(raw: Optional[str]) -> Tuple[str, Optional[ModuleType]]:
         _warned = True
         warnings.warn(
             f"{ENV}=native requested but the repro._native extension is not "
-            "available; using the pure-Python planner and PRT transactions "
-            "(build it with `python setup.py build_ext --inplace` or by "
-            "installing the package with a C compiler present)",
+            "available; using the pure-Python planner (build it with "
+            "`python setup.py build_ext --inplace` or by installing the "
+            "package with a C compiler present)",
             RuntimeWarning,
             stacklevel=4,
         )
@@ -122,8 +116,7 @@ def native_module() -> Optional[ModuleType]:
 
 
 def planner_backend() -> str:
-    """Which planner and PRT-transaction loops run: ``"native"`` or
-    ``"python"``."""
+    """Which planner loop runs: ``"native"`` or ``"python"``."""
     return "python" if _current()[1] is None else "native"
 
 

@@ -266,7 +266,6 @@ def _run_replay(args: argparse.Namespace) -> int:
         print(
             f"{result.events} events in {wall:.2f} s "
             f"({result.events / wall:.0f} events/s), peak RSS {peak_text}, "
-            f"{counters.get('prt_compactions', 0)} compactions, "
             f"{counters.get('sketch_merges', 0)} sketch merges"
         )
         return 0
@@ -310,11 +309,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _print_plan_subtimers() -> None:
-    """Append the replan-transaction phase breakdown to a profile report.
+    """Append the planner phase breakdown to a profile report.
 
     cProfile attributes native-kernel time to opaque built-in frames; the
-    ``plan.*`` sub-timers recover the phase structure (packing, rollback,
-    replay, kernel, continuation transforms) regardless of backend.
+    ``plan.*`` sub-timers recover the phase structure (packing, kernel)
+    regardless of backend.
     """
     from repro.perf import PLAN_SUBTIMERS, process_timers
 

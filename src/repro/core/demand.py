@@ -1,6 +1,6 @@
-"""Packed per-Coflow demand state for the replan transaction hot path.
+"""Packed per-Coflow demand state for the replan hot path.
 
-Every incremental replan repacks a Coflow's remaining demand into
+Every replan repacks a Coflow's remaining demand into
 consideration order: ``sorted(demand_times.items())`` plus a tuple (or
 ``_Entry``) per circuit, paid once per plan — the dominant Python-side
 cost left after the compiled planner kernel took over the event loop.

@@ -1,11 +1,9 @@
 """Retired: the gap-signature cache of intra-Coflow plans.
 
-Sunflow's replanner reuses work only through the incremental
-replanner's structural paths in :mod:`repro.sim.circuit_sim` (kept
-prefixes, verbatim replay, continuation transforms).  The plan cache
-that once sat beside them recorded 0 hits on the headline replay and on
-K-core replays, and 2 in 756 lookups on a guarded replay, so it was
-removed.
+Sunflow's replanner in :mod:`repro.sim.circuit_sim` plans every event
+from scratch.  The plan cache that once sat beside it recorded 0 hits on
+the headline replay and on K-core replays, and 2 in 756 lookups on a
+guarded replay, so it was removed.
 
 This module keeps the name :class:`PlanCache` importable, as a cache
 that never stores a plan and never hits, for code that still looks it
@@ -27,8 +25,7 @@ class PlanCache:
     def __init__(self) -> None:
         warnings.warn(
             "PlanCache is deprecated: the plan cache was removed, and "
-            "incremental replanning (InterCoflowSimulator(incremental=True)) "
-            "is the only plan reuse",
+            "the replanner plans every event from scratch",
             DeprecationWarning,
             stacklevel=2,
         )

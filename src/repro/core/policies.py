@@ -38,7 +38,7 @@ class CoflowView:
     remaining_times: Dict[Tuple[int, int], float] = field(default_factory=dict)
     priority_class: int = 0
     #: Precomputed bottleneck, when the caller already knows it.  The
-    #: incremental replayer memoizes the value per active Coflow (demand
+    #: inter-Coflow simulator memoizes the value per active Coflow (demand
     #: only changes when a circuit is drained), so each replan's ordering
     #: pass skips the per-view load scan.
     bottleneck_hint: Optional[float] = None

@@ -42,9 +42,6 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backend import native_available as native_transactions_available
-from repro.backend import native_module
-
 #: Tolerance for floating-point time comparisons throughout the scheduler.
 TIME_EPS = 1e-9
 
@@ -55,7 +52,7 @@ TIME_EPS = 1e-9
 #: boundary interleaving, typecodes, the ``__slots__`` names, or the
 #: journal/``_ends``/``_ends_sorted`` bookkeeping — so a stale extension
 #: build is refused (:mod:`repro.backend` treats it as absent and the
-#: pure-Python twins run) instead of corrupting tables.
+#: pure-Python planner runs) instead of corrupting tables.
 PRT_LAYOUT_VERSION = 1
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -131,12 +128,11 @@ class PortReservationTable:
 
     The table additionally supports *checkpoint/rollback*: reservations are
     journalled in insertion order, so any suffix of the insertion history
-    can be undone in O(k log n) for k undone reservations.  The incremental
-    inter-Coflow replanner uses this to keep the reservations of
-    higher-priority Coflows in place while re-planning only the dirty
-    suffix of the priority order.  The global release-time column is kept
-    in journal order (append on insert, slice-truncate on rollback) and
-    sorted lazily only when :meth:`next_release_after` needs it.
+    can be undone in O(k log n) for k undone reservations, and
+    :meth:`replay` re-inserts a batch atomically.  The global release-time
+    column is kept in journal order (append on insert, slice-truncate on
+    rollback) and sorted lazily only when :meth:`next_release_after`
+    needs it.
     """
 
     __slots__ = (
@@ -161,14 +157,7 @@ class PortReservationTable:
         self._reservations: List[Reservation] = []
 
     def clear(self) -> None:
-        """Drop every reservation (and the journal) in place.
-
-        The incremental replanner compacts with this when everything left
-        in the table lies entirely in the past: such reservations cannot
-        cover, block, or release anything from ``now`` on, so the table is
-        semantically empty — clearing keeps per-port arrays from growing
-        with the age of the simulation.
-        """
+        """Drop every reservation (and the journal) in place."""
         self._in_bounds.clear()
         self._in_refs.clear()
         self._out_bounds.clear()
@@ -267,30 +256,6 @@ class PortReservationTable:
             (end, journal[i].src, port)
             for end, i in zip(bounds[2 * k + 1 :: 2], refs[k:])
         ]
-
-    @staticmethod
-    def _release_in(bounds: Optional[array], t0: float, t1: float) -> bool:
-        """True when any reservation on the port ends in ``(t0, t1]``.
-
-        Parity over the interleaved boundary array: ends sit at odd
-        indices, so the window ``(t0 + eps, t1 + eps]`` contains one as
-        soon as it spans two boundaries or opens on an odd index.
-        """
-        if not bounds:
-            return False
-        i = bisect_right(bounds, t0 + TIME_EPS)
-        j = bisect_right(bounds, t1 + TIME_EPS)
-        if i == j:
-            return False
-        return (j - i) > 1 or (i & 1) == 1
-
-    def input_release_in(self, port: int, t0: float, t1: float) -> bool:
-        """Any reservation end on input ``port`` within ``(t0, t1]``?"""
-        return self._release_in(self._in_bounds.get(port), t0, t1)
-
-    def output_release_in(self, port: int, t0: float, t1: float) -> bool:
-        """Any reservation end on output ``port`` within ``(t0, t1]``?"""
-        return self._release_in(self._out_bounds.get(port), t0, t1)
 
     def input_covering_end(self, port: int, t: float) -> Optional[float]:
         """End of the reservation covering ``t`` on input ``port``, if any.
@@ -524,10 +489,10 @@ class PortReservationTable:
         raise PortConflictError(f"{new} overlaps an existing reservation")
 
     def replay(self, reservations: Sequence[Reservation]) -> None:
-        """Re-insert already-validated reservations (e.g. a kept Coflow
-        plan after a :meth:`rollback`).  Overlap checks still apply, so a
-        stale plan that no longer fits raises :class:`PortConflictError`
-        instead of corrupting the table.
+        """Re-insert already-validated reservations (e.g. a plan undone by
+        a :meth:`rollback`).  Overlap checks still apply, so a stale plan
+        that no longer fits raises :class:`PortConflictError` instead of
+        corrupting the table.
 
         The call is *atomic*: every port is validated (against existing
         reservations and the other replayed ones) before anything is
@@ -535,14 +500,6 @@ class PortReservationTable:
         Insertion is batched per port — the replayed items are merged
         into each boundary array in one pass instead of paying a bisect
         plus three mid-array inserts per reservation.
-
-        On the native backend (:mod:`repro.backend`) the whole
-        transaction (grouping, validation, merge, journal/ends
-        bookkeeping) is one C call into :mod:`repro._native`; the staging
-        there never mutates the table, so on a conflict the call reports
-        failure and this method falls through to the pure-Python twin,
-        which re-derives and raises the byte-identical
-        :class:`PortConflictError`.
         """
         n = len(reservations)
         if n == 0:
@@ -550,14 +507,6 @@ class PortReservationTable:
         if n == 1:
             self._insert(reservations[0])
             return
-        native = native_module()
-        if native is not None and native.prt_replay(self, reservations, TIME_EPS):
-            return
-        self._replay_python(reservations)
-
-    def _replay_python(self, reservations: Sequence[Reservation]) -> None:
-        """Pure-Python batched replay (n >= 2); the native kernel's twin
-        and the conflict-path error oracle."""
         base = len(self._reservations)
         in_groups: Dict[int, List[Tuple[float, float, int]]] = {}
         out_groups: Dict[int, List[Tuple[float, float, int]]] = {}
@@ -689,26 +638,7 @@ class PortReservationTable:
         The end-time column is in journal order, so the whole undone
         suffix is dropped with one slice deletion instead of a bisect +
         ``del`` per reservation.
-
-        On the native backend (:mod:`repro.backend`) the whole
-        transaction (per-port counting, tail strips or rebuilds,
-        journal/ends truncation) is one C call; removal involves no float
-        arithmetic, so the two paths are trivially bit-identical.
         """
-        native = native_module()
-        if native is not None:
-            try:
-                return native.prt_rollback(self, token)
-            except OverflowError:
-                # Ports outside the kernel's int32 hashing range; the
-                # kernel scans the whole undone suffix before mutating
-                # anything, so the table is intact and the Python twin
-                # can take over.
-                pass
-        return self._rollback_python(token)
-
-    def _rollback_python(self, token: int) -> int:
-        """Pure-Python rollback twin (kept as the differential oracle)."""
         journal = self._reservations
         if token < 0 or token > len(journal):
             raise ValueError(
@@ -840,8 +770,7 @@ class CoreReservationTables:
     core).  This container holds one :class:`PortReservationTable` per core
     and mirrors the single-table transaction surface — checkpoint,
     rollback, replay — *across* the group, so multi-core planners can
-    speculate and undo whole multi-core plans exactly the way the
-    single-switch incremental replanner does on one table:
+    speculate and undo whole multi-core plans the way a single table does:
 
     * :meth:`checkpoint` captures every core's journal position at once;
     * :meth:`rollback` undoes every core back to such a group token;
@@ -943,5 +872,4 @@ __all__ = [
     "PortConflictError",
     "PortReservationTable",
     "CoreReservationTables",
-    "native_transactions_available",
 ]

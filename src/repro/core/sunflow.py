@@ -188,10 +188,6 @@ class CoflowSchedule:
         """
         return bisect.bisect_left(self.reservations, t - TIME_EPS, key=_reservation_start)
 
-    def first_start(self) -> float:
-        """Start of the earliest reservation (inf for an empty plan)."""
-        return self.reservations[0].start if self.reservations else float("inf")
-
     @property
     def makespan(self) -> float:
         return self.completion_time - self.start_time
@@ -203,7 +199,8 @@ class CoflowSchedule:
 #: anchor is the absolute end time the circuit's continuation was already
 #: planned to reach.  The anchor lets a replan reproduce the prior plan's
 #: end *bitwise* (``now + (σ + remaining)`` re-associates floating point),
-#: which the incremental simulator relies on to detect unchanged plans.
+#: so a circuit continued across replans keeps the exact end its first
+#: plan gave it.
 EstablishedCircuits = Union[
     FrozenSet[Tuple[int, int]],
     Set[Tuple[int, int]],

@@ -1,10 +1,10 @@
 """Performance observability for the simulation hot paths.
 
 * :class:`PerfCounters` — named counters and per-phase wall timers used by
-  the inter-Coflow simulator to report replans avoided, reservations
-  made/replayed, and where time went.
+  the inter-Coflow simulator to report events, plans and reservations
+  computed, and where time went.
 * :mod:`repro.perf.replay_bench` — the end-to-end trace-replay benchmark
-  comparing the incremental replanner against the full-replan path.
+  of the inter-Coflow simulator.
 * :func:`bench_provenance` — backend/host provenance (kernel backend,
   native-extension availability, cpu count, python version) attached to
   every ``BENCH_*.json`` by the bench CLIs.
@@ -82,7 +82,7 @@ def bench_provenance() -> Dict[str, Any]:
         ``repro_kernel``
             The selected backend (:func:`repro.backend.active_backend`).
         ``planner_backend``
-            Which planner and PRT-transaction loops actually run:
+            Which planner loop actually runs:
             ``"native"`` when the extension is built and selected (the
             default when built), else ``"python"``.
         ``native_extension_available``

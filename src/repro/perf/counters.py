@@ -1,9 +1,9 @@
 """Lightweight performance counters for the hot simulation paths.
 
-The incremental inter-Coflow replanner trades recomputation for
-bookkeeping; these counters make the trade observable — how many replans
-were avoided, how many reservations were replayed from cache instead of
-re-planned, and where the wall time went — without pulling in a profiler.
+The inter-Coflow simulator replans every active Coflow at every event;
+these counters make that work observable — how many events ran, how
+many plans and reservations they computed, and where the wall time
+went — without pulling in a profiler.
 
 Counters are plain dict-backed integers and float timers; incrementing a
 disabled counter set is still cheap enough to leave in the hot path.
@@ -15,20 +15,12 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-#: The replan-transaction phase timers every instrumented run reports.
-#: ``plan.pack`` (demand → planner entries), ``plan.rollback`` (PRT
-#: journal truncation), ``plan.replay`` (verbatim re-insertion of cached
-#: plans), ``plan.kernel`` (Algorithm 1 proper) and ``plan.transform``
-#: (continuation-plan proofs) partition the Python-side cost of the
-#: ``plan`` timer; the bench smoke checks assert their presence so a
-#: refactor cannot silently drop the instrumentation.
-PLAN_SUBTIMERS = (
-    "plan.pack",
-    "plan.rollback",
-    "plan.replay",
-    "plan.kernel",
-    "plan.transform",
-)
+#: The planner phase timers every instrumented run reports.
+#: ``plan.pack`` (demand → planner entries) and ``plan.kernel``
+#: (Algorithm 1 proper) split the planner's share of the ``plan`` timer;
+#: the bench smoke checks assert their presence so a refactor cannot
+#: silently drop the instrumentation.
+PLAN_SUBTIMERS = ("plan.pack", "plan.kernel")
 
 #: Process-wide accumulation of every :meth:`PerfCounters.add_time` call,
 #: keyed by timer name.  Commands that bury their counter instance inside
@@ -53,7 +45,7 @@ class PerfCounters:
     Usage::
 
         perf = PerfCounters()
-        perf.inc("plans_reused")
+        perf.inc("plans_computed")
         with perf.timer("plan"):
             ...  # timed phase
         perf.snapshot()  # {"counts": {...}, "timers_s": {...}}

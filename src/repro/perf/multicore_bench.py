@@ -5,13 +5,10 @@ cores in both service modes (Fig-6-style intra, Fig-10-style inter) and
 reports, per cell, the mean CCT normalized by the K-core circuit lower
 bound (:func:`repro.core.bounds.multicore_circuit_lower_bound`).
 
-Two differential checks ride along and feed a ``differential_mismatches``
-count that must come out zero:
-
-* ``K = 1`` must reproduce the single-switch replay **bitwise** (records
-  and event times) for every placement policy, in both modes;
-* at every ``K``, the incremental and full-replan paths of the K-core
-  replay must agree bitwise.
+A differential check rides along and feeds a ``differential_mismatches``
+count that must come out zero: ``K = 1`` must reproduce the
+single-switch replay **bitwise** (records and event times) for every
+placement policy, in both modes.
 """
 
 from __future__ import annotations
@@ -101,28 +98,16 @@ def run_multicore_sweep(
         cores = uniform_cores(num_cores, bandwidth, delta)
 
         for policy in INTER_POLICIES:
-            runs = {}
-            walls = {}
-            for incremental in (True, False):
-                simulator = MultiCoreInterSimulator(
-                    trace,
-                    cores,
-                    multicore_policy=policy,
-                    incremental=incremental,
-                )
-                t0 = time.perf_counter()
-                report = simulator.run()
-                walls[incremental] = time.perf_counter() - t0
-                runs[incremental] = (simulator.event_times, report)
-            if runs[True][0] != runs[False][0] or (
-                runs[True][1].records != runs[False][1].records
-            ):
-                mismatches += 1
-            report = runs[True][1]
+            simulator = MultiCoreInterSimulator(
+                trace, cores, multicore_policy=policy
+            )
+            t0 = time.perf_counter()
+            report = simulator.run()
+            wall = time.perf_counter() - t0
             k1_bitwise = None
             if num_cores == 1:
                 k1_bitwise = (
-                    runs[True][0] == reference_inter.event_times
+                    simulator.event_times == reference_inter.event_times
                     and report.records == reference_inter_report.records
                 )
                 if not k1_bitwise:
@@ -132,8 +117,7 @@ def run_multicore_sweep(
                     "mode": "inter",
                     "policy": policy,
                     "num_cores": num_cores,
-                    "wall_s": walls[True],
-                    "full_replan_wall_s": walls[False],
+                    "wall_s": wall,
                     "mean_cct_s": mean_cct(report),
                     "cct_vs_circuit_bound": bound_ratio(report, num_cores),
                     "k1_bitwise": k1_bitwise,

@@ -1,20 +1,32 @@
 """End-to-end trace-replay benchmark for the inter-Coflow replanner.
 
 Replays a synthetic Facebook-like trace (§5.1's 150-port fabric) through
-:class:`~repro.sim.circuit_sim.InterCoflowSimulator` twice — once with the
-incremental prefix-reuse replanner and once with the validation-only
-full-replan path — measures both walls, and cross-checks that every
-Coflow's completion time and switching count are *identical* between the
-two runs.  The CLI wrapper in ``benchmarks/bench_trace_replay.py`` dumps
+:class:`~repro.sim.circuit_sim.InterCoflowSimulator` on the selected
+planner backend, measures the wall time and its ``plan.*`` phases, and
+fingerprints every Coflow's completion time and switching count so two
+runs (the CLI's python-vs-native comparison) can be checked for bitwise
+agreement.  The CLI wrapper in ``benchmarks/bench_trace_replay.py`` dumps
 the result as ``BENCH_trace_replay.json``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import Any, Dict, Optional
 
 from repro.perf.counters import PLAN_SUBTIMERS, PerfCounters
+
+
+def records_sha256(records, event_times) -> str:
+    """SHA-256 of the id-sorted ``(coflow_id, completion_time.hex(),
+    switching_count)`` rows plus the hex event times of one replay."""
+    rows = [
+        (r.coflow_id, r.completion_time.hex(), r.switching_count)
+        for r in sorted(records, key=lambda r: r.coflow_id)
+    ]
+    payload = (rows, [t.hex() for t in event_times])
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 def run_trace_replay(
@@ -22,7 +34,6 @@ def run_trace_replay(
     num_ports: int = 150,
     max_width: Optional[int] = None,
     seed: int = 2016,
-    compare_full: bool = True,
 ) -> Dict[str, Any]:
     """Run the replay benchmark; returns a JSON-ready result dict.
 
@@ -32,14 +43,11 @@ def run_trace_replay(
         max_width: cap on Coflow width, ``None`` for unbounded (paper
             scale — wide Coflows are what make replanning expensive).
         seed: trace generator seed.
-        compare_full: also run the full-replan path and verify per-Coflow
-            results match bit-for-bit (skip for quick timing-only runs).
 
     Returns:
         ``{"bench": "trace_replay", "wall_s": ..., "events": ...,
-        "coflows": ..., ...}`` — ``wall_s`` is the incremental-mode wall;
-        the full-replan wall, speedup, mismatch count, and the incremental
-        run's perf counters ride along.
+        "coflows": ..., "records_sha256": ..., ...}`` plus the run's
+        ``plan.*`` phase times and perf counters.
     """
     # Imported here so ``repro.perf`` stays importable without the
     # simulation stack.
@@ -54,57 +62,29 @@ def run_trace_replay(
     )
     trace = FacebookLikeTraceGenerator(config).generate()
 
-    def replay(incremental: bool):
-        perf = PerfCounters()
-        simulator = InterCoflowSimulator(trace, incremental=incremental, perf=perf)
-        start = time.perf_counter()
-        report = simulator.run()
-        wall = time.perf_counter() - start
-        return wall, report, perf
+    perf = PerfCounters()
+    simulator = InterCoflowSimulator(trace, perf=perf)
+    start = time.perf_counter()
+    report = simulator.run()
+    wall = time.perf_counter() - start
 
-    wall_inc, report_inc, perf_inc = replay(incremental=True)
-
-    computed = perf_inc.count("plans_computed")
-    events_inc = perf_inc.count("events")
-    result: Dict[str, Any] = {
+    events = perf.count("events")
+    return {
         "bench": "trace_replay",
-        "wall_s": wall_inc,
-        "events": events_inc,
-        "events_per_sec": events_inc / wall_inc if wall_inc > 0 else None,
-        "coflows": len(report_inc.records),
+        "wall_s": wall,
+        "events": events,
+        "events_per_sec": events / wall if wall > 0 else None,
+        "coflows": len(report.records),
         "config": {
             "num_coflows": num_coflows,
             "num_ports": num_ports,
             "max_width": max_width,
             "seed": seed,
         },
-        # The incremental replanner's reuse: kept, transformed and
-        # replayed plan layers.
-        "plans_kept_per_computed": (
-            perf_inc.count("plans_kept") / computed if computed else None
-        ),
-        "plans_transformed": perf_inc.count("plans_transformed"),
-        "plans_reused": perf_inc.count("plans_reused"),
-        # Where the ``plan`` timer's time actually went (see
-        # ``PLAN_SUBTIMERS``): packing demand, PRT rollback/replay, the
-        # planner kernel, and continuation-transform proofs.  Keys are
-        # always present (0.0 when a phase never ran) so smoke checks can
-        # assert the instrumentation survived refactors.
-        "plan_phases_s": {name: perf_inc.time(name) for name in PLAN_SUBTIMERS},
-        "counters": perf_inc.snapshot(),
+        "records_sha256": records_sha256(report.records, simulator.event_times),
+        # Where the ``plan`` timer's time went (see ``PLAN_SUBTIMERS``).
+        # Keys are always present (0.0 when a phase never ran) so smoke
+        # checks can assert the instrumentation survived refactors.
+        "plan_phases_s": {name: perf.time(name) for name in PLAN_SUBTIMERS},
+        "counters": perf.snapshot(),
     }
-
-    if compare_full:
-        wall_full, report_full, _ = replay(incremental=False)
-        by_id = {record.coflow_id: record for record in report_full.records}
-        mismatches = sum(
-            1
-            for record in report_inc.records
-            if record.completion_time != by_id[record.coflow_id].completion_time
-            or record.switching_count != by_id[record.coflow_id].switching_count
-        )
-        result["full_replan_wall_s"] = wall_full
-        result["speedup_vs_full"] = wall_full / wall_inc if wall_inc > 0 else None
-        result["mismatches"] = mismatches
-
-    return result

@@ -124,10 +124,9 @@ def run_streaming_bench(
         "coflows_completed": result.report.count,
         "summary": result.report.summary(),
         "peak_rss_bytes": counts.get("peak_rss_bytes"),
-        "prt_compactions": counts.get("prt_compactions", 0),
         "sketch_merges": counts.get("sketch_merges", 0),
-        # Same replan-transaction phase breakdown the trace-replay bench
-        # reports — the streaming engine shares the hot path, so a phase
+        # Same planner phase breakdown the trace-replay bench reports —
+        # the streaming engine shares the hot path, so a phase
         # regressing here without regressing there points at the stream
         # loop, not the planner.
         "plan_phases_s": {name: perf.time(name) for name in PLAN_SUBTIMERS},

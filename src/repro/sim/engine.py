@@ -11,18 +11,9 @@ completions.  :func:`run_replay` is that skeleton, written once; each
 simulator plugs in as a :class:`ReplayHost` and owns only the
 domain-specific hooks.
 
-Two queue flavors support it:
-
-* :class:`EventQueue` — a stable priority queue of timestamped events
-  (deterministic FIFO ordering of simultaneous events, protection
-  against time moving backwards).
-* :class:`IndexedEventQueue` — the same heap discipline with O(1)
-  *cancellation*: entries are keyed, rescheduling a key invalidates its
-  previous entry lazily (stale heap nodes are dropped when they surface
-  at the top).  The circuit simulator uses it to track per-Coflow
-  completion predictions across incremental replans — only plans that
-  actually changed are re-pushed, so finding the next completion no
-  longer rescans every active schedule at every event.
+:class:`EventQueue` — a stable priority queue of timestamped events
+(deterministic FIFO ordering of simultaneous events, protection against
+time moving backwards) — drives the §6 system runner's message loop.
 """
 
 from __future__ import annotations
@@ -34,7 +25,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Generic,
-    Hashable,
     Iterable,
     List,
     Optional,
@@ -92,86 +82,6 @@ class EventQueue(Generic[Payload]):
         time, sequence, payload = heapq.heappop(self._heap)
         self._now = time
         return Event(time=time, sequence=sequence, payload=payload)
-
-    def pop_simultaneous(self, tolerance: float = 1e-9) -> List[Event[Payload]]:
-        """Pop every event within ``tolerance`` of the earliest one."""
-        if not self._heap:
-            return []
-        first = self.pop()
-        batch = [first]
-        while self._heap and self._heap[0][0] <= first.time + tolerance:
-            batch.append(self.pop())
-        return batch
-
-
-Key = TypeVar("Key", bound=Hashable)
-
-
-class IndexedEventQueue(Generic[Key]):
-    """Keyed event queue with stable tie-break and O(1) cancellation.
-
-    Each key holds at most one live event.  :meth:`schedule` replaces the
-    key's previous event in O(1) (the old heap node is merely orphaned);
-    :meth:`cancel` likewise.  Stale nodes are discarded lazily when they
-    reach the heap top, so every operation stays O(log n) amortized in
-    the number of schedules, with no mid-heap deletion.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Key]] = []
-        self._counter = itertools.count()
-        self._live: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __bool__(self) -> bool:
-        return bool(self._live)
-
-    def schedule(self, key: Key, time: float) -> None:
-        """(Re)schedule ``key`` at ``time``, cancelling its previous event."""
-        sequence = next(self._counter)
-        self._live[key] = sequence
-        heapq.heappush(self._heap, (time, sequence, key))
-
-    def cancel(self, key: Key) -> None:
-        """Drop ``key``'s event if it has one (no-op otherwise)."""
-        self._live.pop(key, None)
-
-    def time_of(self, key: Key) -> Optional[float]:
-        """Currently scheduled time for ``key`` (linear scan; debug aid)."""
-        sequence = self._live.get(key)
-        if sequence is None:
-            return None
-        for time, seq, heap_key in self._heap:
-            if seq == sequence and heap_key == key:
-                return time
-        return None
-
-    def _drop_stale(self) -> None:
-        heap = self._heap
-        live = self._live
-        while heap and live.get(heap[0][2]) != heap[0][1]:
-            heapq.heappop(heap)
-
-    def peek(self) -> Optional[Tuple[float, Key]]:
-        """Earliest live ``(time, key)`` without removing it."""
-        self._drop_stale()
-        if not self._heap:
-            return None
-        time, _, key = self._heap[0]
-        return time, key
-
-    def peek_time(self) -> Optional[float]:
-        entry = self.peek()
-        return entry[0] if entry is not None else None
-
-    def pop(self) -> Tuple[float, Key]:
-        """Remove and return the earliest live ``(time, key)``."""
-        self._drop_stale()
-        time, _, key = heapq.heappop(self._heap)
-        del self._live[key]
-        return time, key
 
 
 class ReplayHost(Protocol):

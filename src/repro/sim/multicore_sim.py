@@ -16,11 +16,10 @@ decides, at admission, which core(s) each arriving Coflow lands on:
   the Coflow completes when its last share does.
 
 Because the per-core sub-simulators execute the *identical* code path as
-a standalone single-switch replay — same planner, same incremental
-layered-PRT replanner, same float expressions — a one-core fabric
+a standalone single-switch replay — same planner, same replan from
+scratch at every event, same float expressions — a one-core fabric
 reproduces today's single-switch results **bitwise** (records and event
-times), for both the incremental and full-replan paths.  The
-differential suites pin this.
+times).  The differential suites pin this.
 
 All per-core sub-simulators share one
 :class:`~repro.perf.PerfCounters` sink.
@@ -74,7 +73,7 @@ class MultiCoreInterSimulator:
             rejected here.
         policy: inter-Coflow priority policy applied *within* each core
             (shortest-Coflow-first by default, shared across cores).
-        order / priority_classes / rng / incremental / perf: as in
+        order / priority_classes / rng / perf: as in
             :class:`~repro.sim.circuit_sim.InterCoflowSimulator`; all
             per-core sub-simulators share ``rng`` and ``perf``.
     """
@@ -88,7 +87,6 @@ class MultiCoreInterSimulator:
         order: ReservationOrder = ReservationOrder.ORDERED_PORT,
         priority_classes: Optional[Dict[int, int]] = None,
         rng: Optional[random.Random] = None,
-        incremental: bool = True,
         perf: Optional[PerfCounters] = None,
     ) -> None:
         if not cores:
@@ -109,7 +107,6 @@ class MultiCoreInterSimulator:
                 order=order,
                 priority_classes=priority_classes,
                 rng=rng,
-                incremental=incremental,
                 perf=self.perf,
             )
             for core in self.cores
@@ -151,8 +148,8 @@ class MultiCoreInterSimulator:
     def plan(self, now: float, next_arrival: float) -> float:
         event_time = next_arrival
         for sub in self._subs:
-            # A core with no active Coflows has nothing to replan (and
-            # its completion queue is empty) — skip it entirely.
+            # A core with no active Coflows has nothing to replan — skip
+            # it entirely.
             if sub.has_active():
                 event_time = min(event_time, sub.plan(now, next_arrival))
         return event_time
@@ -243,7 +240,6 @@ def simulate_inter_multicore(
     order: ReservationOrder = ReservationOrder.ORDERED_PORT,
     priority_classes: Optional[Dict[int, int]] = None,
     rng: Optional[random.Random] = None,
-    incremental: bool = True,
 ) -> SimulationReport:
     """One-call K-core trace replay under Sunflow inter-Coflow scheduling."""
     simulator = MultiCoreInterSimulator(
@@ -254,7 +250,6 @@ def simulate_inter_multicore(
         order=order,
         priority_classes=priority_classes,
         rng=rng,
-        incremental=incremental,
     )
     return simulator.run()
 

@@ -12,13 +12,12 @@ while keeping the simulation itself *bit-identical*:
 * completion records fold into a :class:`StreamingReport` — running
   aggregates plus a :class:`~repro.analysis.quantiles.QuantileDigest`
   for CCT percentiles — instead of an unbounded record list;
-* the simulator's own history (dead plan layers, PRT journal, view
-  cache) is compacted as it goes (see
+* the simulator keeps no history: it plans every event on a fresh
+  PRT and drops a Coflow's state when it completes (see
   :class:`~repro.sim.circuit_sim.InterCoflowSimulator`).
 
 Byte-identity: the event loop performs the same float operations as the
-in-memory path, and the simulator is byte-stable under compaction, so
-driving the *same* simulator with a full
+in-memory path, so driving the *same* simulator with a full
 :class:`~repro.sim.results.SimulationReport` as the ``report`` sink
 reproduces the in-memory run exactly — the differential suite in
 ``tests/sim/test_streaming.py`` pins this.  Only the *aggregation* is
@@ -152,7 +151,6 @@ def simulate_inter_sunflow_stream(
     guard: Optional[StarvationGuard] = None,
     priority_classes: Optional[Dict[int, int]] = None,
     rng: Optional[random.Random] = None,
-    incremental: bool = True,
     perf: Optional[PerfCounters] = None,
     report=None,
     on_event: Optional[Callable[[float], None]] = None,
@@ -184,12 +182,12 @@ def simulate_inter_sunflow_stream(
     Returns:
         :class:`StreamingResult` with the report, the number of events
         processed, and the run's perf counters (including
-        ``prt_compactions``, ``sketch_merges``, the ``plan.*``
-        replan-transaction phase sub-timers, and a ``peak_rss_bytes``
-        high-water mark).  The simulator's per-Coflow demand state rides
-        the same :class:`~repro.core.demand.PackedDemand` columns as the
-        in-memory engine, so the streaming path shares the packed replan
-        transaction bit-for-bit.
+        ``sketch_merges``, the ``plan.pack``/``plan.kernel`` sub-timers,
+        and a ``peak_rss_bytes`` high-water mark).  The simulator's
+        per-Coflow demand state rides the same
+        :class:`~repro.core.demand.PackedDemand` columns as the in-memory
+        engine, so the streaming path shares the packed planner fast path
+        bit-for-bit.
     """
     if num_ports is None:
         num_ports = getattr(arrivals, "num_ports", None)
@@ -207,7 +205,6 @@ def simulate_inter_sunflow_stream(
         guard=guard,
         priority_classes=priority_classes,
         rng=rng,
-        incremental=incremental,
         perf=perf,
     )
     if report is None:

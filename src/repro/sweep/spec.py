@@ -55,9 +55,6 @@ class SweepCell:
     spec: Optional[SimulationSpec]
     error: Optional[str] = None
 
-    def override_map(self) -> dict:
-        return dict(self.overrides)
-
 
 def derive_cell_seed(spec: SimulationSpec) -> int:
     """Deterministic per-cell seed from the cell's own content.

@@ -112,6 +112,8 @@ class SunflowController:
         #: Issued reservations awaiting their transfer report, mapped to
         #: the service the controller currently expects from them.
         self._outstanding: Dict[Reservation, float] = {}
+        #: Teardown instants of outstanding reservations a replan cut short.
+        self._torn_down: Dict[Reservation, float] = {}
         self._planned: Dict[int, List[Reservation]] = {}
         self._plan_version = 0
         self.report = SimulationReport("sunflow-system", bandwidth_bps, scheduler.delta)
@@ -129,6 +131,7 @@ class SunflowController:
 
     def handle_report(self, now: float, message: TransferReport) -> ControllerOutput:
         expected = self._outstanding.pop(message.reservation, None)
+        self._torn_down.pop(message.reservation, None)
         ledger = self._active.get(message.coflow_id)
         if ledger is None:
             return ControllerOutput()
@@ -225,9 +228,16 @@ class SunflowController:
         established: Dict[int, Dict[Circuit, float]] = {}
         expected_by_circuit: Dict[Tuple[int, Circuit], float] = {}
         in_flight: List[Tuple[Reservation, float]] = []
+        torn_down = self._torn_down
         for reservation in self._outstanding:
             key = (reservation.coflow_id, (reservation.src, reservation.dst))
-            if reservation.end <= effective + TIME_EPS:
+            if reservation.end <= effective + TIME_EPS or (
+                # Torn down by an earlier replan, its report still in
+                # flight: the switch released the circuit then, so it
+                # serves nothing more and cannot be continued without δ.
+                torn_down
+                and torn_down.get(reservation, effective) < effective - TIME_EPS
+            ):
                 expected_by_circuit[key] = (
                     expected_by_circuit.get(key, 0.0) + self._outstanding[reservation]
                 )
@@ -293,6 +303,7 @@ class SunflowController:
                 del self._outstanding[reservation]
             else:
                 self._outstanding[reservation] = estimate
+                self._torn_down.setdefault(reservation, effective)
 
         for cid, schedule in schedules.items():
             planned = schedule.reservations

@@ -15,32 +15,9 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from repro.analysis.idleness import network_idleness
 from repro.core.coflow import Coflow, CoflowTrace
 from repro.units import MB
-
-
-def demand_seconds_matrix(
-    coflow: Coflow, num_ports: int, bandwidth_bps: float
-) -> np.ndarray:
-    """Densify a Coflow's processing times into an ``N × N`` float64 ndarray.
-
-    The ndarray entry point of the scheduler pipeline: the result feeds
-    :meth:`repro.schedulers.base.AssignmentScheduler` implementations via
-    sparse conversion and :func:`repro.sim.assignment_exec.execute_assignments`
-    directly, staying contiguous ``float64`` end to end.
-    """
-    matrix = np.zeros((num_ports, num_ports), dtype=np.float64)
-    for (src, dst), seconds in coflow.processing_times(bandwidth_bps).items():
-        if src >= num_ports or dst >= num_ports:
-            raise ValueError(
-                f"circuit ({src}, {dst}) outside a {num_ports}-port fabric"
-            )
-        if seconds > 0:
-            matrix[src, dst] += seconds
-    return matrix
 
 
 def perturb_sizes(

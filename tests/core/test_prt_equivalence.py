@@ -11,21 +11,13 @@ reserve / query / checkpoint / rollback / replay sequences and compare
 every outcome exactly.
 """
 
-import os
 import random
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import backend
-from repro.core.prt import (
-    PortConflictError,
-    PortReservationTable,
-    native_transactions_available,
-)
-from repro.core.sunflow import SunflowScheduler
+from repro.core.prt import PortConflictError, PortReservationTable
 from tests.oracles.prt_reference import ReferencePortReservationTable
 
 
@@ -179,23 +171,6 @@ class TestDifferentialFuzz:
             ref.reserve(0, 2, 1.5, 2.5, 2, 0.1)
         assert str(fast_exc.value) == str(ref_exc.value)
 
-    def test_rollback_overflow_ports_fall_back_to_python(self, monkeypatch):
-        """Port indexes beyond the native kernel's int32 hashing range:
-        the kernel refuses before mutating anything and the dispatcher
-        finishes the rollback on the Python twin."""
-        fast = PortReservationTable()
-        ref = ReferencePortReservationTable()
-        big = 2**40
-        try_reserve(fast, ref, big, 0, 0.0, 1.0, 1, 0.1)
-        token_fast, token_ref = fast.checkpoint(), ref.checkpoint()
-        for step in range(2, 8):
-            try_reserve(fast, ref, big, 0, float(step), step + 0.5, step, 0.1)
-        monkeypatch.setenv("REPRO_KERNEL", "native")
-        assert fast.rollback(token_fast) == ref.rollback(token_ref)
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert sorted(map(res_key, fast)) == sorted(map(res_key, ref))
-        fast.validate()
-
     def test_rollback_restores_identical_state(self):
         rng = random.Random(3)
         fast = PortReservationTable()
@@ -220,11 +195,8 @@ class TestDifferentialFuzz:
 
 
 # ----------------------------------------------------------------------
-# Replan-transaction fuzz: batched rollback/replay as whole transactions,
-# interleaved with journal compaction and (when the extension is built)
-# backend / layout-gate churn.  The native kernels promise bitwise
-# identity with the Python twins, so mixing the two mid-run on the SAME
-# table must be unobservable — that is exactly what the churn mode does.
+# Transaction fuzz: batched rollback/replay as whole transactions,
+# interleaved with clearing the table.
 # ----------------------------------------------------------------------
 
 _PORT_S = st.integers(min_value=0, max_value=5)
@@ -245,48 +217,21 @@ _TXN_OP = st.one_of(
         st.integers(min_value=2, max_value=6),
     ),
     st.tuples(st.just("compact")),
-    st.tuples(st.just("churn")),
 )
-
-_TXN_MODES = ["python"] + (
-    ["native", "churn"] if native_transactions_available() else []
-)
-
-#: Layout churn cycle: kernel on, kernel off via env, kernel "stale"
-#: (the layout-version gate nulls the module, env still asks for it).
-_CHURN_STATES = (("native", True), ("python", True), ("native", False))
 
 
 class TestTransactionFuzz:
-    @pytest.mark.parametrize("mode", _TXN_MODES)
     @settings(
         max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(ops=st.lists(_TXN_OP, min_size=15, max_size=90))
-    def test_batched_transactions_with_compaction(self, mode, ops):
-        saved_env = os.environ.get("REPRO_KERNEL")
-        saved_resolver = (backend._probe, backend._resolved, backend._warned)
-        backend._warned = True  # churn mutes the fallback warning
-        os.environ["REPRO_KERNEL"] = "python" if mode == "churn" else mode
-        try:
-            self._run(mode, ops)
-        finally:
-            backend._probe, backend._resolved, backend._warned = saved_resolver
-            if saved_env is None:
-                os.environ.pop("REPRO_KERNEL", None)
-            else:
-                os.environ["REPRO_KERNEL"] = saved_env
-
-    @staticmethod
-    def _run(mode, ops):
-        real_native = backend._probe()
+    def test_batched_transactions_with_compaction(self, ops):
         fast = PortReservationTable()
         ref = ReferencePortReservationTable()
         tokens = []
         accepted = []
-        churn = 0
         for step, op in enumerate(ops):
             kind = op[0]
             if kind == "reserve":
@@ -330,20 +275,12 @@ class TestTransactionFuzz:
                             ref_err = exc
                         assert (fast_err is None) == (ref_err is None)
             elif kind == "compact":
-                # Journal compaction: the incremental replanner clears a
-                # semantically-empty table in place; checkpoints taken
-                # before the compaction are dead with it.
+                # Clearing empties the table in place; checkpoints taken
+                # before it are dead with it.
                 fast.clear()
                 ref.clear()
                 tokens.clear()
                 accepted.clear()
-            elif kind == "churn" and mode == "churn":
-                env, kernel_on = _CHURN_STATES[churn % len(_CHURN_STATES)]
-                churn += 1
-                os.environ["REPRO_KERNEL"] = env
-                extension = real_native if kernel_on else None
-                backend._probe = lambda: extension
-                backend._resolved = {}
             if step % 30 == 29:
                 rng = random.Random(step)
                 assert_same_state(fast, ref, rng, num_ports=6, horizon=9.5)
@@ -351,51 +288,3 @@ class TestTransactionFuzz:
             fast, ref, random.Random(len(ops)), num_ports=6, horizon=9.5
         )
 
-
-class TestTransactionFallback:
-    def test_missing_kernel_falls_back_with_one_warning(
-        self, monkeypatch, native_absent
-    ):
-        """``REPRO_KERNEL=native`` without the extension: rollback and
-        batched replay run the Python twins, warning exactly once."""
-        monkeypatch.setenv("REPRO_KERNEL", "native")
-        assert not native_transactions_available()
-
-        fast = PortReservationTable()
-        ref = ReferencePortReservationTable()
-        for step in range(6):
-            try_reserve(fast, ref, step % 3, (step + 1) % 3, float(step), step + 0.9, step, 0.05)
-        token_fast, token_ref = fast.checkpoint(), ref.checkpoint()
-        batch = list(fast)[:3]
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fast.replay(batch[:0])  # empty: no dispatch, no warning
-            fast_err = ref_err = None
-            try:
-                fast.replay(batch)
-            except PortConflictError as exc:
-                fast_err = exc
-            try:
-                ref.replay(batch)
-            except PortConflictError as exc:
-                ref_err = exc
-            assert (fast_err is None) == (ref_err is None)
-            assert fast.rollback(token_fast) == ref.rollback(token_ref)
-        native_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(native_warnings) == 1
-        assert "pure-Python planner and PRT transactions" in str(
-            native_warnings[0].message
-        )
-        assert sorted(map(res_key, fast)) == sorted(map(res_key, ref))
-
-        # Once per process, not once per call, and shared with the planner.
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            fast.rollback(fast.checkpoint())
-            SunflowScheduler().schedule_demand(
-                PortReservationTable(), 9, {(0, 1): 1.0, (1, 0): 0.5}
-            )
-        assert not [w for w in again if issubclass(w.category, RuntimeWarning)]

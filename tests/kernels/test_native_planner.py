@@ -15,6 +15,10 @@ Covered surfaces:
 * the RANDOM reservation-order bypass (same-seeded rng streams must
   stay synchronized across backends) and SORTED_DEMAND + quantum;
 * multi-coflow ``schedule_many`` sequences sharing one PRT;
+* the packed-columns entry (``schedule_demand_packed`` on a
+  ``PackedDemand``) vs the unpacked native and Python paths, including
+  in-place value patches, a key added after packing, and a demand that
+  filters down to nothing;
 * end-to-end Fig-6/Fig-10 API cells (intra and inter Sunflow replays)
   and the K-core fabric at K ∈ {2, 4};
 * the backend resolver's contract: native by default when built; without
@@ -24,13 +28,15 @@ Covered surfaces:
 
 from __future__ import annotations
 
+import random
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.prt import PortReservationTable, native_transactions_available
+from repro.core.demand import PackedDemand
+from repro.core.prt import TIME_EPS, PortReservationTable
 from repro.core.sunflow import (
     ReservationOrder,
     SunflowScheduler,
@@ -83,8 +89,6 @@ def _prt_state(prt):
 
 def _plan_once(backend, demand, blockers, established, start_time, **scheduler_kwargs):
     """One blocked-then-planned run under ``backend``; returns keys + state."""
-    import random
-
     with use_backend(backend):
         prt = PortReservationTable()
         if blockers:
@@ -124,8 +128,6 @@ class TestDifferentialFuzz:
     def test_random_order_rng_stays_synchronized(self, demand, blockers, seed):
         """RANDOM order shuffles via ``_make_entries`` on both backends, so
         same-seeded rng streams must produce the same plan."""
-        import random
-
         results = []
         for backend in ("python", "native"):
             with use_backend(backend):
@@ -243,16 +245,137 @@ class TestPinnedApiCells:
         )
 
 
-def _transaction(demand):
-    """Plan two Coflows on one table, roll the second back and replay it;
-    returns the reservations and the table state, bitwise."""
+def _bitwise_state(prt):
+    """The table's complete storage, bit-for-bit."""
+    return (
+        {p: a.tobytes() for p, a in prt._in_bounds.items()},
+        {p: a.tobytes() for p, a in prt._in_refs.items()},
+        {p: a.tobytes() for p, a in prt._out_bounds.items()},
+        {p: a.tobytes() for p, a in prt._out_refs.items()},
+        prt._ends.tobytes(),
+        [_res_hex(r) for r in prt._reservations],
+    )
+
+
+def _res_hex(r):
+    return (r.src, r.dst, r.coflow_id, r.start.hex(), r.end.hex(), r.setup.hex())
+
+
+@needs_native
+class TestScheduleDemandPacked:
+    """The fused packed-columns planner entry vs its unpacked twins."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_three_way_differential(self, seed):
+        rng = random.Random(seed)
+        demand = {
+            (rng.randrange(8), rng.randrange(8)): rng.uniform(0.001, 3.0)
+            for _ in range(rng.randrange(1, 18))
+        }
+        blockers = {
+            (rng.randrange(8), rng.randrange(8)): rng.uniform(0.1, 1.0)
+            for _ in range(rng.randrange(0, 5))
+        }
+        start = rng.uniform(0.0, 2.0)
+        outcomes = []
+        for backend, mapping in (
+            ("native", PackedDemand(demand)),  # schedule_demand_packed
+            ("native", dict(demand)),  # _pack_demand + schedule_demand
+            ("python", dict(demand)),  # pure-Python loop
+        ):
+            with use_backend(backend):
+                prt = PortReservationTable()
+                if blockers:
+                    SunflowScheduler().schedule_demand(prt, "blk", blockers)
+                schedule = SunflowScheduler().schedule_demand(
+                    prt, "cf", mapping, start_time=start
+                )
+            outcomes.append(
+                ([_res_hex(r) for r in schedule.reservations], _bitwise_state(prt))
+            )
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_established_continuations(self, seed):
+        rng = random.Random(seed)
+        demand = {
+            (rng.randrange(6), rng.randrange(6)): rng.uniform(0.01, 2.0)
+            for _ in range(rng.randrange(2, 12))
+        }
+        established = {}
+        for circuit in list(demand)[: rng.randrange(1, 4)]:
+            anchor = rng.choice([None, rng.uniform(0.5, 6.0)])
+            established[circuit] = (rng.uniform(0.0, 0.02), anchor)
+        outcomes = []
+        for backend, mapping in (
+            ("native", PackedDemand(demand)),
+            ("python", dict(demand)),
+        ):
+            with use_backend(backend):
+                prt = PortReservationTable()
+                schedule = SunflowScheduler().schedule_demand(
+                    prt, "cf", mapping, start_time=0.25, established=established
+                )
+            outcomes.append(
+                ([_res_hex(r) for r in schedule.reservations], _bitwise_state(prt))
+            )
+        assert outcomes[0] == outcomes[1]
+
+    def test_in_place_value_patches_are_visible(self):
+        """Service decrements write through ``PackedDemand.__setitem__``;
+        the columns the kernel reads must track them."""
+        base = {(0, 1): 2.0, (1, 2): 1.5, (2, 0): 0.75}
+        packed = PackedDemand(base)
+        packed[(1, 2)] = 0.4
+        packed[(2, 0)] = 0.0  # served out: the kernel must drop it
+        plain = dict(base)
+        plain[(1, 2)] = 0.4
+        plain[(2, 0)] = 0.0
+        assert packed.packed_ok
+        outcomes = []
+        for backend, mapping in (("native", packed), ("python", plain)):
+            with use_backend(backend):
+                prt = PortReservationTable()
+                schedule = SunflowScheduler().schedule_demand(prt, 9, mapping)
+            outcomes.append(
+                ([_res_hex(r) for r in schedule.reservations], _bitwise_state(prt))
+            )
+        assert outcomes[0] == outcomes[1]
+        assert all(r[:2] != (2, 0) for r in outcomes[0][0])
+
+    def test_key_mutation_unpacks_and_still_matches(self):
+        """Adding a key flips ``packed_ok`` off; the planner must take
+        the sorted-items path and stay bitwise-identical anyway."""
+        packed = PackedDemand({(0, 1): 1.0})
+        packed[(3, 2)] = 0.5
+        assert not packed.packed_ok
+        outcomes = []
+        for backend in ("native", "python"):
+            with use_backend(backend):
+                prt = PortReservationTable()
+                schedule = SunflowScheduler().schedule_demand(prt, 1, dict(packed))
+            outcomes.append([_res_hex(r) for r in schedule.reservations])
+        with use_backend("native"):
+            prt = PortReservationTable()
+            schedule = SunflowScheduler().schedule_demand(prt, 1, packed)
+        assert [_res_hex(r) for r in schedule.reservations] == outcomes[0] == outcomes[1]
+
+    def test_empty_after_filter_returns_no_plan(self):
+        packed = PackedDemand({(0, 1): 0.0, (2, 3): TIME_EPS / 2})
+        with use_backend("native"):
+            prt = PortReservationTable()
+            schedule = SunflowScheduler().schedule_demand(prt, 1, packed)
+        assert schedule.reservations == []
+        assert len(prt) == 0
+
+
+def _plan_two(demand):
+    """Plan two Coflows on one table; returns the reservations and the
+    table state, bitwise."""
     prt = PortReservationTable()
     scheduler = SunflowScheduler()
     first = scheduler.schedule_demand(prt, 7, demand)
-    token = prt.checkpoint()
     second = scheduler.schedule_demand(prt, 8, demand, start_time=0.5)
-    assert prt.rollback(token) == len(second.reservations)
-    prt.replay(second.reservations)
     return _reservation_keys(first) + _reservation_keys(second), _prt_state(prt)
 
 
@@ -276,48 +399,45 @@ class TestFallback:
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert active_backend() == "native"
         assert planner_backend() == "native"
-        assert native_transactions_available()
 
     def test_default_without_extension_is_python_silently(
         self, monkeypatch, native_absent
     ):
-        """Unset backend, no extension: the Python twins run with no
+        """Unset backend, no extension: the Python loop runs with no
         warning, bitwise-equal to REPRO_KERNEL=python."""
         with use_backend("python"):
-            expected = _transaction(_DEMAND)
+            expected = _plan_two(_DEMAND)
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert planner_backend() == "python"
-            assert _transaction(_DEMAND) == expected
+            assert _plan_two(_DEMAND) == expected
         assert not _runtime_warnings(caught)
 
     def test_missing_extension_falls_back_with_one_warning(
         self, monkeypatch, native_absent
     ):
-        """Extension artificially absent: REPRO_KERNEL=native plans, rolls
-        back and replays via the Python twins, bitwise-equal to
-        REPRO_KERNEL=python, with one warning for all of them."""
+        """Extension artificially absent: REPRO_KERNEL=native plans via
+        the Python loop, bitwise-equal to REPRO_KERNEL=python, with one
+        warning."""
         with use_backend("python"):
-            expected = _transaction(_DEMAND)
+            expected = _plan_two(_DEMAND)
 
         monkeypatch.setenv("REPRO_KERNEL", "native")
         assert not native_planner_available()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert planner_backend() == "python"  # reports the loop that runs
-            assert _transaction(_DEMAND) == expected
+            assert _plan_two(_DEMAND) == expected
         native_warnings = _runtime_warnings(caught)
         assert len(native_warnings) == 1
-        assert "pure-Python planner and PRT transactions" in str(
-            native_warnings[0].message
-        )
+        assert "using the pure-Python planner" in str(native_warnings[0].message)
 
         # The warning is once-per-process, not once-per-call or per spelling.
         monkeypatch.setenv("REPRO_KERNEL", " Native ")
         with warnings.catch_warnings(record=True) as again:
             warnings.simplefilter("always")
-            _transaction(_DEMAND)
+            _plan_two(_DEMAND)
         assert not _runtime_warnings(again)
 
     def test_unknown_backend_raises(self, monkeypatch):

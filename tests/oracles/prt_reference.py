@@ -35,10 +35,7 @@ class ReferencePortReservationTable:
 
     The table additionally supports *checkpoint/rollback*: reservations are
     journalled in insertion order, so any suffix of the insertion history
-    can be undone in O(k log n) for k undone reservations.  The incremental
-    inter-Coflow replanner uses this to keep the reservations of
-    higher-priority Coflows in place while re-planning only the dirty
-    suffix of the priority order.
+    can be undone in O(k log n) for k undone reservations.
     """
 
     def __init__(self) -> None:
@@ -50,14 +47,7 @@ class ReferencePortReservationTable:
         self._reservations: List[Reservation] = []
 
     def clear(self) -> None:
-        """Drop every reservation (and the journal) in place.
-
-        The incremental replanner compacts with this when everything left
-        in the table lies entirely in the past: such reservations cannot
-        cover, block, or release anything from ``now`` on, so the table is
-        semantically empty — clearing keeps per-port lists from growing
-        with the age of the simulation.
-        """
+        """Drop every reservation (and the journal) in place."""
         self._in.clear()
         self._out.clear()
         self._in_starts.clear()

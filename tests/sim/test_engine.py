@@ -48,18 +48,6 @@ class TestEventQueue:
         assert queue.peek_time() == 2.5
         assert len(queue) == 1
 
-    def test_pop_simultaneous_batches_close_events(self):
-        queue = EventQueue()
-        queue.push(1.0, "a")
-        queue.push(1.0 + 1e-12, "b")
-        queue.push(2.0, "c")
-        batch = queue.pop_simultaneous()
-        assert [event.payload for event in batch] == ["a", "b"]
-        assert queue.pop().payload == "c"
-
-    def test_pop_simultaneous_empty(self):
-        assert EventQueue().pop_simultaneous() == []
-
     def test_bool_and_len(self):
         queue = EventQueue()
         assert not queue

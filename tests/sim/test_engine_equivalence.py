@@ -19,10 +19,10 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.core.coflow import Coflow, CoflowTrace
-from repro.core.prt import PortReservationTable, TIME_EPS
+from repro.core.prt import TIME_EPS
+from repro.perf.replay_bench import records_sha256
 from repro.sim.aalo import AaloAllocator
 from repro.sim.circuit_sim import InterCoflowSimulator, _ActiveCoflow
-from repro.sim.engine import IndexedEventQueue
 from repro.sim.packet_sim import PacketCoflowState, PacketSimulator
 from repro.sim.results import SimulationReport, make_record
 from repro.sim.varys import VarysAllocator
@@ -70,12 +70,6 @@ def legacy_circuit_run(sim: InterCoflowSimulator):
     active: Dict[int, _ActiveCoflow] = {}
     now = 0.0
     perf = sim.perf
-    sim._prt = PortReservationTable()
-    sim._layers = []
-    # State consumed by the host-era ``_record_completions``; harmless to
-    # the legacy flow (completion selection below still scans schedules).
-    sim._completions = IndexedEventQueue()
-    sim._predicted = {}
     sim._report = report
     event_times: List[float] = []
 
@@ -247,18 +241,40 @@ def legacy_vector_run(sim):
 # ----------------------------------------------------------------------
 # Differential fuzz
 # ----------------------------------------------------------------------
+#: :func:`~repro.perf.replay_bench.records_sha256` of each random-trace
+#: replay, keyed ``(incremental, seed)`` by the retired replan path that
+#: recorded it.  The incremental and full paths agreed on every seed, so
+#: the surviving path must reproduce both.
+RANDOM_TRACE_DIGESTS = {
+    (True, 0): "60189fab3be60194fb7fd7604c731673ccf95e528105fa1fc37a71279b0edf39",
+    (True, 1): "36741ad7e81e9d970e266ada45494dc83eadbe473e8fb113636d09ae54d1d76c",
+    (True, 2): "9925096fead0c0bc9646d3da64dd4cd983523c7ec1bc3ca5d790f10258fe3500",
+    (True, 7): "07d2af0ef69cf85a57f6c0e438b8e1a0fa7ca1699780f03ba3f14e0a33c73bbc",
+    (True, 2016): "04d9380fae2f9c0d7ffee62ddf709389e76518f095b1423b9b2da33e3bde14e0",
+    (False, 0): "60189fab3be60194fb7fd7604c731673ccf95e528105fa1fc37a71279b0edf39",
+    (False, 1): "36741ad7e81e9d970e266ada45494dc83eadbe473e8fb113636d09ae54d1d76c",
+    (False, 2): "9925096fead0c0bc9646d3da64dd4cd983523c7ec1bc3ca5d790f10258fe3500",
+    (False, 7): "07d2af0ef69cf85a57f6c0e438b8e1a0fa7ca1699780f03ba3f14e0a33c73bbc",
+    (False, 2016): "04d9380fae2f9c0d7ffee62ddf709389e76518f095b1423b9b2da33e3bde14e0",
+}
+
+
 class TestCircuitEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 2016])
     @pytest.mark.parametrize("incremental", [True, False])
     def test_random_traces(self, seed, incremental):
         trace = random_trace(seed)
-        new = InterCoflowSimulator(trace, incremental=incremental)
+        new = InterCoflowSimulator(trace)
         new_report = new.run()
-        legacy = InterCoflowSimulator(trace, incremental=incremental)
+        legacy = InterCoflowSimulator(trace)
         legacy_report, legacy_events = legacy_circuit_run(legacy)
         assert new.event_times == legacy_events
         assert sorted(map(record_key, new_report.records)) == sorted(
             map(record_key, legacy_report.records)
+        )
+        assert (
+            records_sha256(new_report.records, new.event_times)
+            == RANDOM_TRACE_DIGESTS[(incremental, seed)]
         )
 
     @pytest.mark.parametrize("seed", [1, 4])

@@ -1,13 +1,13 @@
-"""Equivalence of the incremental and full inter-Coflow replanners.
+"""Replays pinned to the records of the retired incremental replanner.
 
-The incremental replanner (prefix reuse over a persistent layered PRT)
-must be an *optimization only*: for every trace, policy, consideration
-order, and guard setting, its per-Coflow completion times and switching
-counts must equal the full-replan path bit-for-bit.  These tests replay
-randomized Facebook-like traces through both paths and compare records
-exactly (no ``approx``), pin a few replays to fixed record digests, and
-fuzz the event-driven ``schedule_demand`` against the literal
-Algorithm 1 transcription on dense demands.
+The simulator once had two inter-Coflow replan paths: an incremental one
+(prefix reuse over a persistent layered PRT) and the full replan it had
+to match bit for bit.  Only the full replan remains.  The digests below
+were recorded from both paths before the incremental one was deleted —
+for every case the two agreed — so the surviving path must reproduce
+every completion time, switching count and event time exactly (no
+``approx``).  The module also fuzzes the event-driven ``schedule_demand``
+against the literal Algorithm 1 transcription on dense demands.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from repro.core.multicore import uniform_cores
 from repro.core.prt import PortReservationTable
 from repro.core.starvation import StarvationGuard
 from repro.core.sunflow import ReservationOrder
-from repro.perf import PerfCounters
+from repro.perf.replay_bench import records_sha256
 from repro.sim.circuit_sim import InterCoflowSimulator
 from repro.sim.multicore_sim import simulate_inter_multicore
 from repro.units import GBPS, MB, MS
@@ -40,6 +40,23 @@ PINNED_DIGESTS = {
     "2016-k2": "dd689b1aea147660b0d2c8e6b4d00581baf1cd1f85e0c0ae571852eece4a0c2f",
 }
 
+#: :func:`~repro.perf.replay_bench.records_sha256` of each replay below
+#: (records plus event times), recorded from both retired replan paths.
+FULL_REPLAN_DIGESTS = {
+    1: "44059b4be3e59e1d676e2914e850af73aa450a71245ff1f5356f989aa20ad587",
+    7: "98cc520017672a240c2e02bc5a4632feac2ec629031c9d20dfeb05460dabf4cb",
+    42: "25ec4b08f3127de3e9b9a4a28904481dd8800bfa4648b16bc62844b7c38862ad",
+    2016: "c34f494c1996606be4656dd304ae107d54b9eb8791521ea160724e28aa2daff0",
+}
+ORDER_DIGESTS = {
+    ReservationOrder.ORDERED_PORT: "148048de7e76c24e549728845beed99e850c3a6afcd38958cb8d5090435bae75",
+    ReservationOrder.RANDOM: "8f236cdbd2f89ec47bed0d69bbdd5a30b44bc673dc7db5f4371def70871ff53d",
+    ReservationOrder.SORTED_DEMAND: "d42e30ef9f1a7b90a92601eca60931696c13b6826d10aa25dd140597652a1b9a",
+}
+GUARD_DIGEST = "24f1631a2e306a0fc3cdc3e7a680696570e5e2771bc9e060d2f7fa619536f42b"
+SHARED_CIRCUIT_DIGEST = "a9de61309c918ad74d058982fe384db15a0d15b2a317dbbc3574a30e311ad414"
+SMOKE_BENCH_DIGEST = "04848a9174be6ff5080b6c9044b93b4310374ca02f0d5add647ae29b5f014d1e"
+
 
 def make_trace(num_coflows, seed, num_ports=60, max_width=12):
     config = GeneratorConfig(
@@ -51,46 +68,28 @@ def make_trace(num_coflows, seed, num_ports=60, max_width=12):
     return FacebookLikeTraceGenerator(config).generate()
 
 
-def replay(trace, incremental, order=ReservationOrder.ORDERED_PORT, guard=None):
-    perf = PerfCounters()
+def replay(trace, order=ReservationOrder.ORDERED_PORT, guard=None):
+    """Replay ``trace``; returns the report and its records digest."""
     simulator = InterCoflowSimulator(
-        trace,
-        incremental=incremental,
-        perf=perf,
-        order=order,
-        guard=guard,
-        rng=random.Random(4),
+        trace, order=order, guard=guard, rng=random.Random(4)
     )
     report = simulator.run()
-    return report, perf
-
-
-def record_keys(report):
-    """Exact (not approximate) per-Coflow outcome, sorted by id."""
-    return sorted(
-        (r.coflow_id, r.completion_time, r.switching_count) for r in report.records
-    )
+    return report, records_sha256(report.records, simulator.event_times)
 
 
 class TestIncrementalEquivalence:
     @pytest.mark.parametrize("seed", [1, 7, 42, 2016])
     def test_matches_full_replan(self, seed):
         """Byte-identical records on randomized traces."""
-        trace = make_trace(80, seed)
-        fast, _ = replay(trace, incremental=True)
-        full, _ = replay(trace, incremental=False)
-        assert record_keys(fast) == record_keys(full)
+        _, digest = replay(make_trace(80, seed))
+        assert digest == FULL_REPLAN_DIGESTS[seed]
 
     @pytest.mark.parametrize("order", list(ReservationOrder))
     def test_matches_under_every_consideration_order(self, order):
-        trace = make_trace(60, seed=13)
-        fast, _ = replay(trace, incremental=True, order=order)
-        full, _ = replay(trace, incremental=False, order=order)
-        assert record_keys(fast) == record_keys(full)
+        _, digest = replay(make_trace(60, seed=13), order=order)
+        assert digest == ORDER_DIGESTS[order]
 
     def test_matches_with_starvation_guard(self):
-        """Guarded runs fall back to the full path; results stay identical
-        whichever way the simulator is configured."""
         rng = random.Random(3)
         coflows = []
         for cid in range(1, 9):
@@ -104,9 +103,8 @@ class TestIncrementalEquivalence:
             )
         trace = CoflowTrace(num_ports=6, coflows=coflows)
         guard = StarvationGuard(num_ports=6, period=0.5, tau=0.1, delta=DELTA)
-        fast, _ = replay(trace, incremental=True, guard=guard)
-        full, _ = replay(trace, incremental=False, guard=guard)
-        assert record_keys(fast) == record_keys(full)
+        _, digest = replay(trace, guard=guard)
+        assert digest == GUARD_DIGEST
 
     def test_matches_on_shared_circuit(self):
         """Six Coflows queued on one circuit are served strictly one at a
@@ -117,46 +115,29 @@ class TestIncrementalEquivalence:
             for cid in range(1, 7)
         ]
         trace = CoflowTrace(num_ports=2, coflows=coflows)
-        fast, _ = replay(trace, incremental=True)
-        full, _ = replay(trace, incremental=False)
-        assert record_keys(fast) == record_keys(full)
-        completions = [time for _, time, _ in record_keys(full)]
+        report, digest = replay(trace)
+        assert digest == SHARED_CIRCUIT_DIGEST
+        completions = [
+            r.completion_time for r in sorted(report.records, key=lambda r: r.coflow_id)
+        ]
         assert completions == sorted(set(completions))
 
     @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
     def test_records_match_pinned_digest(self, case):
-        """Replays pinned bit-for-bit: a change to any reuse path of the
-        replanner must leave every completion time and switching count
-        exactly as the pinned digest records them."""
+        """Replays pinned bit-for-bit: every completion time and switching
+        count stays exactly as the pinned digest records them, whichever
+        retired replan path recorded it."""
         seed, mode = case.split("-")
         trace = make_trace(60, int(seed), num_ports=40, max_width=10)
         if mode == "k2":
             report = simulate_inter_multicore(trace, uniform_cores(2))
         else:
-            report, _ = replay(trace, incremental=mode == "incremental")
+            report, _ = replay(trace)
         rows = [
             (r.coflow_id, r.completion_time.hex(), r.switching_count)
             for r in sorted(report.records, key=lambda r: r.coflow_id)
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_DIGESTS[case]
-
-    def test_incremental_reuses_plans(self):
-        """The counters prove the incremental path actually skips work on a
-        trace known to keep/reuse plan layers (and the full path never
-        does)."""
-        config = GeneratorConfig(num_ports=150, num_coflows=250, seed=5)
-        trace = FacebookLikeTraceGenerator(config).generate()
-        fast, perf = replay(trace, incremental=True)
-        full, full_perf = replay(trace, incremental=False)
-        assert record_keys(fast) == record_keys(full)
-        assert perf.count("replans_avoided") > 0
-        assert perf.count("plans_kept") > 0
-        # Served Coflows are carried forward by the continuation transform
-        # instead of being recomputed every event.
-        assert perf.count("plans_transformed") > 0
-        assert perf.count("plans_computed") < full_perf.count("plans_computed")
-        assert full_perf.count("replans_avoided") == 0
-        assert full_perf.count("full_replans") == perf.count("incremental_replans")
 
 
 class TestScheduleDemandDense:
@@ -206,8 +187,8 @@ class TestScheduleDemandDense:
 
 def test_replay_smoke_benchmark():
     """Fast end-to-end smoke of the benchmark entry point: a small replay
-    through ``repro.perf.replay_bench`` finishes quickly and reports zero
-    mismatches between the two replanner modes."""
+    through ``repro.perf.replay_bench`` finishes quickly and fingerprints
+    the records both retired replan paths produced."""
     from repro.perf.replay_bench import run_trace_replay
 
     result = run_trace_replay(num_coflows=60, num_ports=60, max_width=10, seed=2016)
@@ -215,5 +196,5 @@ def test_replay_smoke_benchmark():
     assert result["coflows"] == 60
     assert result["events"] > 0
     assert result["wall_s"] > 0
-    assert result["mismatches"] == 0
-    assert result["plans_kept_per_computed"] is not None
+    assert result["records_sha256"] == SMOKE_BENCH_DIGEST
+    assert set(result["plan_phases_s"]) == {"plan.pack", "plan.kernel"}

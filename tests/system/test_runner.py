@@ -6,8 +6,10 @@ import random
 import pytest
 
 from repro.core.coflow import Coflow, CoflowTrace
+from repro.core.prt import TIME_EPS
 from repro.sim import simulate_inter_sunflow
 from repro.system import LatencyConfig, simulate_system
+from repro.system.switch import OpticalSwitch
 from repro.units import GBPS, MB, MS
 
 B = 1 * GBPS
@@ -118,6 +120,43 @@ class TestLatencyEffects:
         )
         assert glitched.records[0].cct > prompt.records[0].cct
         assert len(glitched) == 1  # completed despite the glitch
+
+    @pytest.mark.parametrize("seed", [0, 2, 7])
+    def test_torn_down_circuits_are_not_continued_later(self, seed, monkeypatch):
+        """A setup paying less than δ continues a configured circuit, so
+        the switch must still hold that circuit when the command lands.
+        With a 1 ms signal and 0.5 ms legs, the report of a reservation a
+        replan tore down is still in flight at later replans; those must
+        plan the circuit afresh, not continue it."""
+        orphans = []
+        handle_setup = OpticalSwitch.handle_setup
+
+        def checked(switch, now, command):
+            reservation = command.reservation
+            if reservation.setup < DELTA - TIME_EPS:
+                for table, port in (
+                    (switch._inputs, reservation.src),
+                    (switch._outputs, reservation.dst),
+                ):
+                    state = table.get(port)
+                    held = state.reservation if state is not None else None
+                    if (
+                        held is None
+                        or held.circuit != reservation.circuit
+                        or state.busy_until < reservation.start - TIME_EPS
+                    ):
+                        orphans.append(reservation)
+                        break
+            return handle_setup(switch, now, command)
+
+        monkeypatch.setattr(OpticalSwitch, "handle_setup", checked)
+        latency = LatencyConfig(
+            registration=0.5 * MS, command=0.5 * MS, report=0.5 * MS, signal=1.0 * MS
+        )
+        trace = random_trace(seed, num_coflows=8)
+        report = simulate_system(trace, B, DELTA, latency=latency)
+        assert len(report) == 8
+        assert orphans == []
 
     def test_latencies_never_speed_things_up(self):
         trace = random_trace(7)
