@@ -859,7 +859,7 @@ int64_key_cmp(const void *pa, const void *pb)
 }
 
 /* Fetch and type-check the PRT storage attributes plus per-call
- * constants; shared by the tuple-list and packed-columns entry points. */
+ * constants. */
 static int
 ctx_attach(Ctx *c, PyObject *prt, PyObject *res_type, PyObject *coflow_id,
            double start_time, double delta, double eps, int has_established,
@@ -973,48 +973,6 @@ ctx_build_slots(Ctx *c)
         return -1;
     }
     return 0;
-}
-
-static int
-ctx_init(Ctx *c, PyObject *prt, PyObject *res_type, PyObject *coflow_id,
-         double start_time, double delta, double eps, int has_established,
-         PyObject *entries_list, PyObject *out_list)
-{
-    if (ctx_attach(c, prt, res_type, coflow_id, start_time, delta, eps,
-                   has_established, out_list) < 0)
-        return -1;
-    Py_ssize_t n = PyList_GET_SIZE(entries_list);
-    c->nentries = n;
-    c->outstanding = n;
-    if (n > INT32_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "too many demand entries");
-        return -1;
-    }
-    c->entries = (CEntry *)PyMem_Calloc((size_t)n, sizeof(CEntry));
-    if (c->entries == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *item = PyList_GET_ITEM(entries_list, i);
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 6) {
-            PyErr_SetString(PyExc_TypeError,
-                            "entries must be (src, dst, remaining, has_est, "
-                            "setup_left, anchor) tuples");
-            return -1;
-        }
-        CEntry *e = &c->entries[i];
-        e->src = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 0));
-        e->dst = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 1));
-        e->remaining = PyFloat_AsDouble(PyTuple_GET_ITEM(item, 2));
-        e->has_est = PyObject_IsTrue(PyTuple_GET_ITEM(item, 3));
-        e->setup_left = PyFloat_AsDouble(PyTuple_GET_ITEM(item, 4));
-        e->anchor = PyFloat_AsDouble(PyTuple_GET_ITEM(item, 5));
-        e->index = (int32_t)i;
-        if (PyErr_Occurred() || e->has_est < 0)
-            return -1;
-    }
-    return ctx_build_slots(c);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1149,38 +1107,12 @@ run_schedule(Ctx *c)
 /* Entry point                                                         */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-native_schedule_demand(PyObject *self, PyObject *args)
-{
-    PyObject *prt, *res_type, *coflow_id, *entries_list, *out_list;
-    double start_time, delta, eps;
-    int has_established;
-    if (!PyArg_ParseTuple(args, "OOOdddpO!O!:schedule_demand", &prt, &res_type,
-                          &coflow_id, &start_time, &delta, &eps,
-                          &has_established, &PyList_Type, &entries_list,
-                          &PyList_Type, &out_list))
-        return NULL;
-    if (!PyType_Check(res_type)) {
-        PyErr_SetString(PyExc_TypeError, "res_type must be a class");
-        return NULL;
-    }
-    Ctx c;
-    memset(&c, 0, sizeof(Ctx));
-    int rv = ctx_init(&c, prt, res_type, coflow_id, start_time, delta, eps,
-                      has_established, entries_list, out_list);
-    if (rv == 0)
-        rv = run_schedule(&c);
-    ctx_free(&c);
-    if (rv < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* Fused `_pack_demand` + scheduling loop: consumes a PackedDemand's
- * pre-sorted columns directly, so the per-plan sort and tuple packing
- * disappear from the Python side.  The columns are sorted by (src, dst)
- * — exactly `sorted(demand_times.items())` — so filtering them in order
- * reproduces the packed-entry list verbatim. */
+/* The one entry point.  The demand arrives as `(srcs, dsts, vals)`
+ * columns (`array('q')`, `array('q')`, `array('d')`) already in
+ * consideration order: a PackedDemand's own columns, or columns
+ * `SunflowScheduler.schedule_demand` builds.  Entries at or below `eps`
+ * are skipped here, exactly as the Python loop's entry packing skips
+ * them, so the surviving list positions are the order indices. */
 static PyObject *
 native_schedule_demand_packed(PyObject *self, PyObject *args)
 {
@@ -1325,19 +1257,15 @@ native_schedule_demand_packed(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef native_methods[] = {
-    {"schedule_demand", native_schedule_demand, METH_VARARGS,
-     "schedule_demand(prt, reservation_cls, coflow_id, start_time, delta, "
-     "eps, has_established, entries, out_reservations)\n\n"
-     "Compiled twin of SunflowScheduler's event-driven scheduling loop.\n"
-     "Mutates the PRT and appends the planned Reservation objects to\n"
-     "out_reservations, bit-identically to the pure-Python loop."},
     {"schedule_demand_packed", native_schedule_demand_packed, METH_VARARGS,
      "schedule_demand_packed(prt, reservation_cls, coflow_id, start_time, "
      "delta, eps, srcs, dsts, vals, established_or_None, out_reservations)"
      "\n\n"
-     "schedule_demand fused with _pack_demand: consumes a PackedDemand's\n"
-     "sorted (srcs, dsts, vals) columns directly.  Returns the number of\n"
-     "entries with demand above eps (0 means nothing was planned)."},
+     "Compiled twin of SunflowScheduler's event-driven scheduling loop over\n"
+     "(srcs, dsts, vals) demand columns in consideration order.  Mutates\n"
+     "the PRT and appends the planned Reservation objects to\n"
+     "out_reservations, bit-identically to the pure-Python loop.  Returns\n"
+     "the number of entries with demand above eps (0: nothing planned)."},
     {NULL, NULL, 0, NULL},
 };
 

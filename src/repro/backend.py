@@ -15,7 +15,7 @@ other          :class:`ValueError` naming the accepted values
 =============  ========================================================
 
 The extension is accepted only when its ``LAYOUT_VERSION`` equals
-:data:`repro.core.prt.PRT_LAYOUT_VERSION` and it exports every
+:data:`repro.core.prt.PRT_LAYOUT_VERSION` and it exports the
 :data:`ENTRY_POINTS` function.  Resolution is memoized on the raw
 environment string: a dispatch costs one dict lookup, and
 :func:`use_backend` still flips the backend between calls.  This module
@@ -36,8 +36,9 @@ ENV = "REPRO_KERNEL"
 #: Accepted values besides unset/empty.
 BACKENDS = ("python", "native")
 
-#: Functions the compiled extension must export to be used at all.
-ENTRY_POINTS = ("schedule_demand", "schedule_demand_packed")
+#: The compiled extension's one planner function; a build without it is
+#: not used at all.
+ENTRY_POINTS = ("schedule_demand_packed",)
 
 #: Raw ``os.environ.get(ENV)`` -> (backend name, extension or None).
 _resolved: Dict[Optional[str], Tuple[str, Optional[ModuleType]]] = {}

@@ -38,7 +38,7 @@ and the two are differentially fuzzed against each other.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -281,27 +281,6 @@ class PortReservationTable:
         if i & 1:
             return bounds[i]
         return None
-
-    def _covering(
-        self,
-        bounds: Optional[array],
-        refs: Optional[array],
-        t: float,
-    ) -> Optional[Reservation]:
-        if not bounds:
-            return None
-        i = bisect_right(bounds, t + TIME_EPS)
-        if i & 1:
-            return self._reservations[refs[i >> 1]]
-        return None
-
-    def input_reservation_at(self, port: int, t: float) -> Optional[Reservation]:
-        """The reservation covering ``t`` on input port ``port``, if any."""
-        return self._covering(self._in_bounds.get(port), self._in_refs.get(port), t)
-
-    def output_reservation_at(self, port: int, t: float) -> Optional[Reservation]:
-        """The reservation covering ``t`` on output port ``port``, if any."""
-        return self._covering(self._out_bounds.get(port), self._out_refs.get(port), t)
 
     def input_free_at(self, port: int, t: float) -> bool:
         return self.input_covering_end(port, t) is None
@@ -763,21 +742,12 @@ class PortReservationTable:
 
 
 class CoreReservationTables:
-    """K per-core Port Reservation Tables with batched group operations.
+    """K per-core Port Reservation Tables.
 
     A K-core OCS fabric gives every port pair ``K`` parallel switch cores,
     each enforcing its own port constraint (a rack has one transceiver per
-    core).  This container holds one :class:`PortReservationTable` per core
-    and mirrors the single-table transaction surface — checkpoint,
-    rollback, replay — *across* the group, so multi-core planners can
-    speculate and undo whole multi-core plans the way a single table does:
-
-    * :meth:`checkpoint` captures every core's journal position at once;
-    * :meth:`rollback` undoes every core back to such a group token;
-    * :meth:`replay` re-inserts a ``(core, reservation)`` batch atomically
-      — if any core raises :class:`PortConflictError`, the cores already
-      written are rolled back before the error propagates, leaving the
-      whole group untouched.
+    core).  This container holds one :class:`PortReservationTable` per
+    core; the K-core planners index it by core.
     """
 
     __slots__ = ("tables",)
@@ -803,54 +773,6 @@ class CoreReservationTables:
 
     def __getitem__(self, core: int) -> PortReservationTable:
         return self.tables[core]
-
-    @property
-    def num_reservations(self) -> int:
-        return sum(len(table) for table in self.tables)
-
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> Tuple[int, ...]:
-        """Group token: every core's journal position, in core order."""
-        return tuple(table.checkpoint() for table in self.tables)
-
-    def rollback(self, token: Sequence[int]) -> int:
-        """Undo every core back to a group ``checkpoint``; returns the
-        total number of reservations undone across the cores."""
-        if len(token) != len(self.tables):
-            raise ValueError(
-                f"group token has {len(token)} entries for {len(self.tables)} cores"
-            )
-        return sum(
-            table.rollback(mark) for table, mark in zip(self.tables, token)
-        )
-
-    def replay(self, items: Sequence[Tuple[int, Reservation]]) -> None:
-        """Atomically re-insert ``(core, reservation)`` pairs.
-
-        Per-core batches go through :meth:`PortReservationTable.replay`
-        (itself atomic per table); on a conflict in any core, the cores
-        already written are rolled back so the group is left exactly as it
-        was before the call.
-        """
-        if not items:
-            return
-        per_core: Dict[int, List[Reservation]] = {}
-        for core, reservation in items:
-            if not 0 <= core < len(self.tables):
-                raise ValueError(
-                    f"core {core} out of range for {len(self.tables)}-core group"
-                )
-            per_core.setdefault(core, []).append(reservation)
-        token = self.checkpoint()
-        written: List[int] = []
-        try:
-            for core, batch in per_core.items():
-                self.tables[core].replay(batch)
-                written.append(core)
-        except PortConflictError:
-            for core in written:
-                self.tables[core].rollback(token[core])
-            raise
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

@@ -37,7 +37,6 @@ import bisect
 import enum
 import heapq
 from array import array
-import itertools
 import math
 import operator
 import random
@@ -57,79 +56,6 @@ from repro.core.prt import (
     TIME_EPS,
 )
 from repro.units import DEFAULT_BANDWIDTH, DEFAULT_DELTA
-
-_NAN = float("nan")
-
-
-def _pack_entries(
-    entries: "List[_Entry]",
-    established: Mapping[Tuple[int, int], Tuple[float, Optional[float]]],
-) -> List[Tuple[int, int, float, bool, float, float]]:
-    """Flatten entries for the native kernel.
-
-    One 6-tuple per entry, in consideration order (entry list position ==
-    ``order_index``, an invariant of :meth:`SunflowScheduler._make_entries`):
-    ``(src, dst, remaining, has_established, setup_left, anchor)`` with a
-    NaN anchor encoding "no anchor" (reservation end times are never NaN).
-    """
-    if not established:
-        return [(e.src, e.dst, e.remaining, False, 0.0, _NAN) for e in entries]
-    packed = []
-    get = established.get
-    for e in entries:
-        est = get((e.src, e.dst))
-        if est is None:
-            packed.append((e.src, e.dst, e.remaining, False, 0.0, _NAN))
-        else:
-            setup_left, anchor = est
-            packed.append(
-                (
-                    e.src,
-                    e.dst,
-                    e.remaining,
-                    True,
-                    setup_left,
-                    _NAN if anchor is None else anchor,
-                )
-            )
-    return packed
-
-
-def _pack_demand(
-    demand_times: Mapping[Tuple[int, int], float],
-    established: Mapping[Tuple[int, int], Tuple[float, Optional[float]]],
-) -> List[Tuple[int, int, float, bool, float, float]]:
-    """Fused ``_make_entries`` + ``_pack_entries`` for the native kernel's
-    hot path (ORDERED_PORT order, no quantum): the sorted dict items *are*
-    the consideration order, so the packed tuples are built straight from
-    them without materializing ``_Entry`` objects first."""
-    if established:
-        get = established.get
-        packed = []
-        for (src, dst), p in sorted(demand_times.items()):
-            if p > TIME_EPS:
-                est = get((src, dst))
-                if est is None:
-                    packed.append((src, dst, p, False, 0.0, _NAN))
-                else:
-                    setup_left, anchor = est
-                    packed.append(
-                        (
-                            src,
-                            dst,
-                            p,
-                            True,
-                            setup_left,
-                            _NAN if anchor is None else anchor,
-                        )
-                    )
-        return packed
-    return [
-        (src, dst, p, False, 0.0, _NAN)
-        for (src, dst), p in sorted(demand_times.items())
-        if p > TIME_EPS
-    ]
-
 
 #: Sort key for attempt batches; C-level attrgetter keeps the hot loop lean.
 _ORDER_KEY = operator.attrgetter("order_index")
@@ -307,11 +233,12 @@ def make_entries(
             if p > eps
         ]
     else:
-        entries = [
-            _Entry(src, dst, quantize(p))
-            for (src, dst), p in demand_times.items()
-            if p > eps
-        ]
+        # Rounding can take a sliver of demand to zero; the compiled
+        # kernel skips such entries, so the Python loop must too.
+        quantized = (
+            (src, dst, quantize(p)) for (src, dst), p in demand_times.items() if p > eps
+        )
+        entries = [_Entry(src, dst, q) for src, dst, q in quantized if q > eps]
     if order is ReservationOrder.ORDERED_PORT:
         entries.sort(key=lambda e: (e.src, e.dst))
     elif order is ReservationOrder.RANDOM:
@@ -403,68 +330,37 @@ class SunflowScheduler:
         if native is not None:
             # Compiled twin of ``_plan_python``: the same event loop with
             # verbatim float expressions, mutating the same PRT arrays in
-            # place through the buffer protocol.
-            fast = (
-                self.order is ReservationOrder.ORDERED_PORT
-                and self.quantum is None
-            )
+            # place through the buffer protocol.  Its one entry reads the
+            # demand as columns in consideration order.
             if (
-                fast
-                and isinstance(demand_times, PackedDemand)
+                isinstance(demand_times, PackedDemand)
                 and demand_times.packed_ok
+                and self.order is ReservationOrder.ORDERED_PORT
+                and self.quantum is None
             ):
-                # Fused fast path: the Coflow's pre-sorted demand columns
-                # go straight to C — filtering, established lookup, and
-                # the event loop in one call, no per-plan sort or tuple
-                # packing on the Python side.
+                # Sorted once at admission: no per-plan packing at all.
                 srcs, dsts, vals = demand_times.columns
-                t0 = perf_counter()
-                kept = native.schedule_demand_packed(
-                    prt,
-                    Reservation,
-                    coflow_id,
-                    start_time,
-                    self.delta,
-                    TIME_EPS,
-                    srcs,
-                    dsts,
-                    vals,
-                    established if established else None,
-                    schedule.reservations,
-                )
-                if perf is not None:
-                    perf.add_time("plan.kernel", perf_counter() - t0)
-                if not kept:
-                    return schedule
             else:
                 t0 = perf_counter()
-                if fast:
-                    packed = _pack_demand(demand_times, established)
-                else:
-                    # RANDOM must still shuffle through ``_make_entries``
-                    # so the rng stream advances exactly as in the Python
-                    # loop.
-                    packed = _pack_entries(
-                        self._make_entries(demand_times), established
-                    )
+                srcs, dsts, vals = self._columns(demand_times)
                 if perf is not None:
                     perf.add_time("plan.pack", perf_counter() - t0)
-                if not packed:
-                    return schedule
-                t0 = perf_counter()
-                native.schedule_demand(
-                    prt,
-                    Reservation,
-                    coflow_id,
-                    start_time,
-                    self.delta,
-                    TIME_EPS,
-                    bool(established),
-                    packed,
-                    schedule.reservations,
-                )
-                if perf is not None:
-                    perf.add_time("plan.kernel", perf_counter() - t0)
+            t0 = perf_counter()
+            native.schedule_demand_packed(
+                prt,
+                Reservation,
+                coflow_id,
+                start_time,
+                self.delta,
+                TIME_EPS,
+                srcs,
+                dsts,
+                vals,
+                established if established else None,
+                schedule.reservations,
+            )
+            if perf is not None:
+                perf.add_time("plan.kernel", perf_counter() - t0)
         else:
             t0 = perf_counter()
             entries = self._make_entries(demand_times)
@@ -920,6 +816,29 @@ class SunflowScheduler:
         if self.quantum is None:
             return seconds
         return math.ceil(seconds / self.quantum - TIME_EPS) * self.quantum
+
+    def _columns(
+        self, demand_times: Mapping[Tuple[int, int], float]
+    ) -> Tuple[array, array, array]:
+        """``(srcs, dsts, vals)`` columns in consideration order for the
+        compiled kernel, which skips entries at or below ``TIME_EPS``."""
+        if self.order is ReservationOrder.ORDERED_PORT and self.quantum is None:
+            # The sorted keys are the consideration order: no ``_Entry``
+            # objects needed.
+            keys = sorted(demand_times)
+            return (
+                array("q", [src for src, _ in keys]),
+                array("q", [dst for _, dst in keys]),
+                array("d", [demand_times[key] for key in keys]),
+            )
+        # RANDOM must still shuffle through ``_make_entries`` so the rng
+        # stream advances exactly as in the Python loop.
+        entries = self._make_entries(demand_times)
+        return (
+            array("q", [entry.src for entry in entries]),
+            array("q", [entry.dst for entry in entries]),
+            array("d", [entry.remaining for entry in entries]),
+        )
 
     def _make_entries(
         self, demand_times: Mapping[Tuple[int, int], float]

@@ -10,12 +10,14 @@ network under the not-all-stop model, in the paper's two evaluation modes:
 * **inter-Coflow** (§5.4) — detailed trace replay with arrival times.
   Like Varys, the simulator reschedules *only* at Coflow arrivals and
   completions: at each event the remaining demand of every active Coflow
-  is re-planned through ``InterCoflow`` (priority order given by a
-  :class:`~repro.core.policies.Policy`), the plan is executed until the
-  next event, and transfer progress is banked.  Circuits actively
-  transmitting at a reschedule keep their configuration (no second ``δ``)
-  when the new plan reuses them immediately; circuits caught mid-setup
-  carry only their *remaining* setup time into the new plan.
+  is re-planned through ``InterCoflow`` by the
+  :class:`~repro.core.replan.InterCoflowPlanner` the §6 controller also
+  uses (priority order given by a :class:`~repro.core.policies.Policy`),
+  the plan is executed until the next event, and transfer progress is
+  banked.  Circuits actively transmitting at a reschedule keep their
+  configuration (no second ``δ``) when the new plan reuses them
+  immediately; circuits caught mid-setup carry only their *remaining*
+  setup time into the new plan.
 
 An optional :class:`~repro.core.starvation.StarvationGuard` carves the
 ``(T+τ)`` shared slices of §4.2 into the plan; during a ``τ`` slice every
@@ -26,15 +28,15 @@ equally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.demand import PackedDemand
-from repro.core.policies import CoflowView, Policy, ShortestFirst
-from repro.core.prt import PortReservationTable, TIME_EPS
+from repro.core.policies import Policy
+from repro.core.prt import TIME_EPS
+from repro.core.replan import ActiveCoflow, InterCoflowPlanner
 from repro.core.starvation import StarvationGuard
-from repro.core.sunflow import CoflowSchedule, ReservationOrder, SunflowScheduler
+from repro.core.sunflow import ReservationOrder, SunflowScheduler
 from repro.perf import PerfCounters
 from repro.schedulers.base import AssignmentScheduler
 from repro.sim.assignment_exec import SwitchModel, execute_assignments
@@ -104,28 +106,6 @@ def simulate_intra_assignment(
 # ----------------------------------------------------------------------
 # Inter-Coflow mode (§5.4): trace replay with arrivals
 # ----------------------------------------------------------------------
-@dataclass
-class _ActiveCoflow:
-    """Simulator-side mutable state of one admitted, unfinished Coflow."""
-
-    coflow: Coflow
-    remaining: Dict[Circuit, float]
-    #: Circuits configured, as ``circuit -> (remaining setup seconds,
-    #: anchor end)``: 0 remaining setup means the circuit is live, and the
-    #: anchor is the absolute end its continuation was planned to reach
-    #: (lets a replan reproduce the same reservation bit-for-bit).
-    established: Dict[Circuit, Tuple[float, float]] = field(default_factory=dict)
-    switching_count: int = 0
-    #: Memoized ``CoflowView.bottleneck`` over the current ``remaining``.
-    #: Every write to ``remaining`` resets it to None (see ``_advance`` and
-    #: ``_apply_guard_service``); ``_ordered_ids`` recomputes on demand.
-    bottleneck_cache: Optional[float] = None
-
-    @property
-    def done(self) -> bool:
-        return all(p <= TIME_EPS for p in self.remaining.values())
-
-
 class InterCoflowSimulator:
     """Event-driven replay of a trace under Sunflow inter-Coflow scheduling.
 
@@ -161,19 +141,17 @@ class InterCoflowSimulator:
         self.trace = trace.sorted_by_arrival()
         self.bandwidth_bps = bandwidth_bps
         self.delta = delta
-        self.policy = policy if policy is not None else ShortestFirst()
         self.guard = guard
-        self.priority_classes = priority_classes or {}
-        self.scheduler = SunflowScheduler(delta=delta, order=order, rng=rng)
         self.perf = perf if perf is not None else PerfCounters()
-        # Let the scheduler charge its packing / kernel time to the same
-        # counters so the ``plan.*`` sub-timers land in one snapshot.
-        self.scheduler.perf = self.perf
-        #: Per-Coflow view cache for ``_ordered_ids``: ``cid -> (state,
-        #: view)``.  The state reference guards against a foreign driver
-        #: (the differential suites replan hand-built active dicts) reusing
-        #: a view over the wrong ``remaining`` mapping.
-        self._views: Dict[int, Tuple[_ActiveCoflow, CoflowView]] = {}
+        #: The replan step, shared with the §6 controller; it charges its
+        #: counters and ``plan.*`` sub-timers to :attr:`perf`.
+        self.planner = InterCoflowPlanner(
+            SunflowScheduler(delta=delta, order=order, rng=rng),
+            policy=policy,
+            guard=guard,
+            priority_classes=priority_classes,
+            perf=self.perf,
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationReport:
@@ -201,7 +179,6 @@ class InterCoflowSimulator:
         self._report = report
         self._active = {}
         self._schedules = {}
-        self._views = {}
 
     def finish_run(self) -> SimulationReport:
         """End the run :meth:`begin_run` started; returns its report."""
@@ -214,7 +191,7 @@ class InterCoflowSimulator:
         return bool(self._active)
 
     def admit(self, coflow: Coflow, now: float) -> None:
-        self._active[coflow.coflow_id] = _ActiveCoflow(
+        self._active[coflow.coflow_id] = ActiveCoflow(
             coflow=coflow,
             remaining=PackedDemand(coflow.processing_times(self.bandwidth_bps)),
         )
@@ -223,7 +200,7 @@ class InterCoflowSimulator:
         perf = self.perf
         perf.inc("events")
         with perf.timer("plan"):
-            schedules = self._schedules = self._replan(self._active, now)
+            schedules = self._schedules = self.planner.plan(self._active, now)
         event_time = min(
             next_arrival, min(plan.completion_time for plan in schedules.values())
         )
@@ -244,99 +221,9 @@ class InterCoflowSimulator:
             self._record_completions(self._active, self._report, event_time)
 
     # ------------------------------------------------------------------
-    def _ordered_ids(self, active: Dict[int, _ActiveCoflow]) -> List[int]:
-        """Active Coflow ids in the policy's priority order.
-
-        The per-Coflow :class:`~repro.core.policies.CoflowView` is cached
-        across events with write-site invalidation: a view survives until
-        its Coflow's ``remaining`` is written (``bottleneck_cache`` reset —
-        the same signal the SEBF bottleneck memo uses).  Cache state is
-        keyed by the state object's identity, so foreign drivers (the
-        differential suites replan hand-built active dicts) can never read
-        a view over the wrong ``remaining`` mapping.
-        """
-        cache = self._views
-        priority_classes = self.priority_classes
-        views: List[CoflowView] = []
-        for cid, state in active.items():
-            entry = cache.get(cid)
-            if entry is None or entry[0] is not state:
-                view = CoflowView(
-                    coflow_id=cid,
-                    arrival_time=state.coflow.arrival_time,
-                    remaining_times=state.remaining,
-                    priority_class=priority_classes.get(cid, 0),
-                    bottleneck_hint=state.bottleneck_cache,
-                )
-                cache[cid] = (state, view)
-            else:
-                view = entry[1]
-            if state.bottleneck_cache is None:
-                # Memoize for the next event: ``remaining`` writes reset
-                # the cache, so the hint is always the exact recompute.
-                view.bottleneck_hint = None
-                state.bottleneck_cache = view.bottleneck_hint = view.bottleneck
-            elif view.bottleneck_hint is None:
-                view.bottleneck_hint = state.bottleneck_cache
-            views.append(view)
-        if len(cache) > len(views):
-            # Foreign driver dropped Coflows without _record_completions;
-            # prune so the view cache stays O(active).
-            for cid in [cid for cid in cache if cid not in active]:
-                del cache[cid]
-        return [view.coflow_id for view in self.policy.order(views)]
-
-    def _replan(
-        self, active: Dict[int, _ActiveCoflow], now: float
-    ) -> Dict[int, CoflowSchedule]:
-        """Re-run InterCoflow over the remaining demand of active Coflows.
-
-        Every event plans from scratch on a fresh PRT: the active Coflows
-        in priority order, each one's established circuits anchored so a
-        continuation reproduces its previous end bit for bit.
-        """
-        ordered = self._ordered_ids(active)
-        demands = [(cid, active[cid].remaining) for cid in ordered]
-        established = {cid: state.established for cid, state in active.items()}
-        perf = self.perf
-
-        horizon = self._guard_horizon(active, now)
-        while True:
-            prt = PortReservationTable()
-            if self.guard is not None:
-                self.guard.reserve_windows(prt, now, horizon)
-            prt, schedules = self.scheduler.schedule_many(
-                demands, start_time=now, prt=prt, established=established
-            )
-            if self.guard is None:
-                break
-            latest = max(s.completion_time for s in schedules.values())
-            if latest <= horizon - self.guard.cycle:
-                break
-            # Plan ran past the reserved guard region; extend and retry so
-            # no plan escapes the guard's periodic blackouts.
-            horizon = latest + 2 * self.guard.max_service_gap
-        perf.inc("plans_computed", len(schedules))
-        perf.inc(
-            "reservations_made",
-            sum(len(s.reservations) for s in schedules.values()),
-        )
-        return schedules
-
-    def _guard_horizon(self, active: Dict[int, _ActiveCoflow], now: float) -> float:
-        if self.guard is None:
-            return now
-        serial = sum(
-            sum(state.remaining.values()) + len(state.remaining) * self.delta
-            for state in active.values()
-        )
-        inflation = self.guard.cycle / self.guard.period
-        return now + serial * (1.0 + inflation) + 2 * self.guard.max_service_gap
-
-    # ------------------------------------------------------------------
     def _advance(
         self,
-        active: Dict[int, _ActiveCoflow],
+        active: Dict[int, ActiveCoflow],
         schedules,
         start: float,
         end: float,
@@ -378,7 +265,7 @@ class InterCoflowSimulator:
             self._apply_guard_service(active, start, end)
 
     def _apply_guard_service(
-        self, active: Dict[int, _ActiveCoflow], start: float, end: float
+        self, active: Dict[int, ActiveCoflow], start: float, end: float
     ) -> None:
         """Fluid shared service during the guard's ``τ`` slices in [start, end)."""
         assert self.guard is not None
@@ -403,12 +290,12 @@ class InterCoflowSimulator:
 
     # ------------------------------------------------------------------
     def _record_completions(
-        self, active: Dict[int, _ActiveCoflow], report: SimulationReport, now: float
+        self, active: Dict[int, ActiveCoflow], report: SimulationReport, now: float
     ) -> None:
         finished = [cid for cid, state in active.items() if state.done]
         for cid in finished:
             state = active.pop(cid)
-            self._views.pop(cid, None)
+            self.planner.forget(cid)
             report.add(
                 make_record(
                     state.coflow,

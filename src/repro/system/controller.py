@@ -2,20 +2,21 @@
 
 The controller is the system's brain: it collects Coflow registrations,
 maintains the authoritative remaining-demand ledger from agents' transfer
-reports, replans with :class:`~repro.core.sunflow.SunflowScheduler` at
-Coflow arrivals and completions (plus when a report reveals a shortfall),
-and issues circuit commands *just in time* — each ``SetupCircuit`` leaves
-``command_latency`` before its reservation starts, so replanning simply
-stops issuing a stale plan's remaining commands.
+reports, replans at Coflow arrivals and completions (plus when a report
+reveals a shortfall), and issues circuit commands *just in time* — each
+``SetupCircuit`` leaves ``command_latency`` before its reservation
+starts, so replanning simply stops issuing a stale plan's remaining
+commands.
 
-Replanning implements Sunflow's inter-Coflow preemption exactly as the
-flow-level model does: every in-flight reservation is torn down at the
-replan's effective instant (unless the new plan reproduces it bit for
-bit) and the remaining demand is rescheduled from there, with circuits
-that keep serving the same flow continued without a new ``δ`` (the
-``established`` mechanism).  A plan version number
-invalidates queued issue ticks from superseded plans — the standard lazy
-cancellation pattern for event-driven control loops.
+Each replan is the flow-level simulator's step,
+:class:`~repro.core.replan.InterCoflowPlanner`, run from the replan's
+effective instant; the controller adds only what is its own.  Every
+in-flight reservation is torn down at that instant (unless the new plan
+reproduces it bit for bit), circuits that keep serving the same flow are
+continued without a new ``δ`` (the ``established`` mechanism), and a
+plan version number invalidates queued issue ticks from superseded
+plans — the standard lazy cancellation pattern for event-driven control
+loops.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.coflow import Coflow
-from repro.core.policies import CoflowView, Policy, ShortestFirst
+from repro.core.policies import Policy
 from repro.core.prt import Reservation, TIME_EPS
+from repro.core.replan import ActiveCoflow, InterCoflowPlanner
 from repro.core.sunflow import SunflowScheduler
 from repro.sim.results import SimulationReport, make_record
 from repro.system.messages import (
@@ -59,16 +60,14 @@ class ControllerOutput:
 
 
 @dataclass
-class _CoflowLedger:
-    """Controller-side view of one active Coflow."""
+class _CoflowLedger(ActiveCoflow):
+    """Controller-side view of one active Coflow; ``remaining`` is rebuilt
+    in place at every replan from ``total_left`` minus what is in flight."""
 
-    coflow: Coflow
     #: Demand not yet reported transmitted, in processing seconds.
-    total_left: Dict[Circuit, float]
+    total_left: Dict[Circuit, float] = field(default_factory=dict)
     #: Latest network-level flow finish seen so far.
     last_finish: float = 0.0
-    #: Circuit establishments issued for this Coflow (setup-paying).
-    setups: int = 0
     #: Extra seconds to over-reserve per circuit after a delivery shortfall
     #: (e.g. a late circuit-live signal ate the window head).  Doubles on
     #: every repeated shortfall so retries always converge.
@@ -104,9 +103,13 @@ class SunflowController:
             raise ValueError("command latency must be non-negative")
         self.bandwidth_bps = bandwidth_bps
         self.scheduler = scheduler
-        self.policy = policy if policy is not None else ShortestFirst()
         self.command_latency = command_latency
-        self.priority_classes = priority_classes or {}
+        #: The replan step, shared with the flow-level simulator; its
+        #: counters and ``plan.*`` sub-timers are :attr:`perf`.
+        self.planner = InterCoflowPlanner(
+            scheduler, policy, priority_classes=priority_classes
+        )
+        self.perf = self.planner.perf
 
         self._active: Dict[int, _CoflowLedger] = {}
         #: Issued reservations awaiting their transfer report, mapped to
@@ -125,6 +128,7 @@ class SunflowController:
         coflow = message.coflow
         self._active[coflow.coflow_id] = _CoflowLedger(
             coflow=coflow,
+            remaining={},
             total_left=dict(coflow.processing_times(self.bandwidth_bps)),
         )
         return self._replan(now)
@@ -194,7 +198,7 @@ class SunflowController:
         self._outstanding[tick.reservation] = tick.reservation.transmit_duration
         ledger = self._active.get(tick.reservation.coflow_id)
         if ledger is not None and tick.reservation.setup > 0:
-            ledger.setups += 1
+            ledger.switching_count += 1
         return ControllerOutput(commands=[SetupCircuit(tick.reservation)])
 
     # ------------------------------------------------------------------
@@ -207,11 +211,12 @@ class SunflowController:
                 completion_time=ledger.last_finish,
                 bandwidth_bps=self.bandwidth_bps,
                 delta=self.scheduler.delta,
-                switching_count=ledger.setups,
+                switching_count=ledger.switching_count,
             )
         )
         del self._active[coflow_id]
         self._planned.pop(coflow_id, None)
+        self.planner.forget(coflow_id)
 
     def _replan(self, now: float) -> ControllerOutput:
         """Preempt the old plan and reschedule everything from
@@ -225,7 +230,9 @@ class SunflowController:
         # torn down there (below, once the plan is known); count the
         # service they will have delivered by then and remember circuits
         # that stay configured so continuations skip (part of) the setup.
-        established: Dict[int, Dict[Circuit, float]] = {}
+        active = self._active
+        for ledger in active.values():
+            ledger.established.clear()
         expected_by_circuit: Dict[Tuple[int, Circuit], float] = {}
         in_flight: List[Tuple[Reservation, float]] = []
         torn_down = self._torn_down
@@ -249,15 +256,15 @@ class SunflowController:
             in_flight.append((reservation, estimate))
             if effective > reservation.transmit_start + TIME_EPS:
                 expected_by_circuit[key] = expected_by_circuit.get(key, 0.0) + estimate
-            if reservation.start <= effective + TIME_EPS:
-                remaining_setup = max(0.0, reservation.transmit_start - effective)
-                established.setdefault(reservation.coflow_id, {})[
-                    (reservation.src, reservation.dst)
-                ] = remaining_setup
+            ledger = active.get(reservation.coflow_id)
+            if ledger is not None and reservation.start <= effective + TIME_EPS:
+                setup_left = max(0.0, reservation.transmit_start - effective)
+                ledger.established[key[1]] = (setup_left, None)
 
-        views = []
-        for cid, ledger in self._active.items():
-            demand: Dict[Circuit, float] = {}
+        # The plan serves what is neither reported nor still in flight.
+        for cid, ledger in active.items():
+            demand = ledger.remaining
+            demand.clear()
             for circuit, left in ledger.total_left.items():
                 if left <= TIME_EPS:
                     continue
@@ -265,23 +272,8 @@ class SunflowController:
                 value = max(0.0, left - pending)
                 if value > TIME_EPS:
                     demand[circuit] = value + ledger.retry_pad.get(circuit, 0.0)
-            views.append(
-                CoflowView(
-                    coflow_id=cid,
-                    arrival_time=ledger.coflow.arrival_time,
-                    remaining_times=demand,
-                    priority_class=self.priority_classes.get(cid, 0),
-                )
-            )
-        ordered = self.policy.order(views)
-        demands = [
-            (view.coflow_id, view.remaining_times)
-            for view in ordered
-            if view.remaining_times
-        ]
-        _, schedules = self.scheduler.schedule_many(
-            demands, start_time=effective, established=established
-        )
+            ledger.bottleneck_cache = None
+        schedules = self.planner.plan(active, effective)
 
         # Keep running an issued reservation the new plan reproduces bit for
         # bit: cancelling it and issuing an equal value would let the
@@ -301,6 +293,12 @@ class SunflowController:
                 # Cancelled before any transmission: the agent never went
                 # live and will send no report — settle the ledger now.
                 del self._outstanding[reservation]
+                if reservation.setup > 0 and effective <= reservation.start + TIME_EPS:
+                    # Cancelled before its setup began: like the flow-level
+                    # model, count only reconfigurations that started.
+                    ledger = active.get(reservation.coflow_id)
+                    if ledger is not None:
+                        ledger.switching_count -= 1
             else:
                 self._outstanding[reservation] = estimate
                 self._torn_down.setdefault(reservation, effective)

@@ -23,11 +23,7 @@ from repro.core.multicore import (
     split_demand,
     uniform_cores,
 )
-from repro.core.prt import (
-    CoreReservationTables,
-    PortConflictError,
-    PortReservationTable,
-)
+from repro.core.prt import CoreReservationTables, PortReservationTable
 from repro.core.sunflow import SunflowScheduler
 from repro.units import DEFAULT_BANDWIDTH, GBPS, MB, MS, processing_time
 
@@ -78,48 +74,14 @@ class TestFabricModel:
 # Grouped per-core reservation tables
 # ----------------------------------------------------------------------
 class TestCoreReservationTables:
-    def test_group_checkpoint_rollback(self):
+    def test_fresh_group_holds_one_table_per_core(self):
         group = CoreReservationTables.fresh(2)
-        token = group.checkpoint()
         group[0].reserve(0, 1, start=0.0, end=1.0, coflow_id=1, setup=DELTA)
         group[1].reserve(0, 1, start=0.0, end=2.0, coflow_id=1, setup=DELTA)
-        assert group.num_reservations == 2
+        assert [len(table) for table in group] == [1, 1]
         assert group.makespan() == 2.0
-        undone = group.rollback(token)
-        assert undone == 2
-        assert group.num_reservations == 0
-
-    def test_group_replay_is_atomic(self):
-        group = CoreReservationTables.fresh(2)
-        blocker = group[1].reserve(
-            0, 1, start=0.0, end=1.0, coflow_id=1, setup=DELTA
-        )
-        ok = PortReservationTable().reserve(
-            0, 1, start=0.0, end=1.0, coflow_id=2, setup=DELTA
-        )
-        clash = PortReservationTable().reserve(
-            0, 1, start=0.5, end=1.5, coflow_id=2, setup=DELTA
-        )
-        before = group.checkpoint()
-        with pytest.raises(PortConflictError):
-            group.replay([(0, ok), (1, clash)])
-        # The conflicting batch must leave the whole group untouched.
-        assert group.checkpoint() == before
-        assert len(group[0]) == 0 and len(group[1]) == 1
-        group.replay([(0, ok)])
-        assert len(group[0]) == 1
-        group.validate()
-        assert blocker.end == 1.0
-
-    def test_replay_rejects_bad_core(self):
-        group = CoreReservationTables.fresh(1)
-        stray = PortReservationTable().reserve(
-            0, 1, start=0.0, end=1.0, coflow_id=1, setup=DELTA
-        )
         with pytest.raises(ValueError):
-            group.replay([(3, stray)])
-        with pytest.raises(ValueError):
-            group.rollback((0, 0))
+            CoreReservationTables.fresh(0)
         with pytest.raises(ValueError):
             CoreReservationTables([])
 

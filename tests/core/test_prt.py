@@ -109,14 +109,6 @@ class TestQueries:
         prt.reserve(0, 1, start=0.0, end=3.5, coflow_id=1, setup=0.0)
         assert prt.makespan() == pytest.approx(3.5)
 
-    def test_reservation_at_lookup(self):
-        prt = make_prt()
-        reservation = prt.reserve(0, 1, start=1.0, end=2.0, coflow_id=7, setup=0.0)
-        assert prt.input_reservation_at(0, 1.5) is reservation
-        assert prt.output_reservation_at(1, 1.5) is reservation
-        assert prt.input_reservation_at(0, 0.5) is None
-        assert prt.input_reservation_at(0, 2.5) is None
-
     def test_iteration_preserves_insertion_order(self):
         prt = make_prt()
         first = prt.reserve(0, 1, start=5.0, end=6.0, coflow_id=1, setup=0.0)

@@ -15,10 +15,11 @@ Covered surfaces:
 * the RANDOM reservation-order bypass (same-seeded rng streams must
   stay synchronized across backends) and SORTED_DEMAND + quantum;
 * multi-coflow ``schedule_many`` sequences sharing one PRT;
-* the packed-columns entry (``schedule_demand_packed`` on a
-  ``PackedDemand``) vs the unpacked native and Python paths, including
-  in-place value patches, a key added after packing, and a demand that
-  filters down to nothing;
+* the kernel's one entry, ``schedule_demand_packed``, on a
+  ``PackedDemand``'s own columns vs columns built per plan from a plain
+  mapping and vs the Python loop, including in-place value patches, a
+  key added after packing, a demand that filters down to nothing, and
+  quantized demand rounded to zero;
 * end-to-end Fig-6/Fig-10 API cells (intra and inter Sunflow replays)
   and the K-core fabric at K ∈ {2, 4};
 * the backend resolver's contract: native by default when built; without
@@ -263,7 +264,8 @@ def _res_hex(r):
 
 @needs_native
 class TestScheduleDemandPacked:
-    """The fused packed-columns planner entry vs its unpacked twins."""
+    """A PackedDemand's own columns vs columns built per plan, and both
+    vs the Python loop."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_three_way_differential(self, seed):
@@ -279,8 +281,8 @@ class TestScheduleDemandPacked:
         start = rng.uniform(0.0, 2.0)
         outcomes = []
         for backend, mapping in (
-            ("native", PackedDemand(demand)),  # schedule_demand_packed
-            ("native", dict(demand)),  # _pack_demand + schedule_demand
+            ("native", PackedDemand(demand)),  # columns sorted at packing
+            ("native", dict(demand)),  # columns built from the sorted keys
             ("python", dict(demand)),  # pure-Python loop
         ):
             with use_backend(backend):
@@ -367,6 +369,22 @@ class TestScheduleDemandPacked:
             schedule = SunflowScheduler().schedule_demand(prt, 1, packed)
         assert schedule.reservations == []
         assert len(prt) == 0
+
+    def test_quantized_to_zero_is_skipped(self):
+        """Rounding up to a coarse quantum takes a sliver of demand to
+        zero; both loops must then skip that entry."""
+        demand = {(0, 1): 5e-9, (1, 2): 0.25, (2, 0): 1.0}
+        outcomes = []
+        for backend in ("native", "python"):
+            with use_backend(backend):
+                prt = PortReservationTable()
+                scheduler = SunflowScheduler(quantum=10.0)
+                schedule = scheduler.schedule_demand(prt, 1, demand)
+            outcomes.append(
+                ([_res_hex(r) for r in schedule.reservations], _bitwise_state(prt))
+            )
+        assert outcomes[0] == outcomes[1]
+        assert [r[:2] for r in outcomes[0][0]] == [(1, 2), (2, 0)]
 
 
 def _plan_two(demand):
@@ -458,3 +476,16 @@ class TestFallback:
         from repro.core.prt import PRT_LAYOUT_VERSION
 
         assert _native.LAYOUT_VERSION == PRT_LAYOUT_VERSION
+
+    def test_extension_exports_one_entry_point(self):
+        if not native_planner_available():
+            pytest.skip("repro._native is not built")
+        from repro import _native
+        from repro.backend import ENTRY_POINTS
+
+        public = {
+            name
+            for name in dir(_native)
+            if not name.startswith("_") and callable(getattr(_native, name))
+        }
+        assert public == set(ENTRY_POINTS) == {"schedule_demand_packed"}

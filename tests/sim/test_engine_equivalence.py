@@ -22,7 +22,8 @@ from repro.core.coflow import Coflow, CoflowTrace
 from repro.core.prt import TIME_EPS
 from repro.perf.replay_bench import records_sha256
 from repro.sim.aalo import AaloAllocator
-from repro.sim.circuit_sim import InterCoflowSimulator, _ActiveCoflow
+from repro.core.replan import ActiveCoflow
+from repro.sim.circuit_sim import InterCoflowSimulator
 from repro.sim.packet_sim import PacketCoflowState, PacketSimulator
 from repro.sim.results import SimulationReport, make_record
 from repro.sim.varys import VarysAllocator
@@ -67,7 +68,7 @@ def legacy_circuit_run(sim: InterCoflowSimulator):
     report = SimulationReport("sunflow", sim.bandwidth_bps, sim.delta)
     arrivals = list(sim.trace)
     next_arrival_index = 0
-    active: Dict[int, _ActiveCoflow] = {}
+    active: Dict[int, ActiveCoflow] = {}
     now = 0.0
     perf = sim.perf
     sim._report = report
@@ -81,14 +82,14 @@ def legacy_circuit_run(sim: InterCoflowSimulator):
             and arrivals[next_arrival_index].arrival_time <= now + TIME_EPS
         ):
             coflow = arrivals[next_arrival_index]
-            active[coflow.coflow_id] = _ActiveCoflow(
+            active[coflow.coflow_id] = ActiveCoflow(
                 coflow=coflow,
                 remaining=dict(coflow.processing_times(sim.bandwidth_bps)),
             )
             next_arrival_index += 1
 
         perf.inc("events")
-        schedules = sim._replan(active, now)
+        schedules = sim.planner.plan(active, now)
         next_arrival = (
             arrivals[next_arrival_index].arrival_time
             if next_arrival_index < len(arrivals)

@@ -65,21 +65,30 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize(
         "seed, delta",
-        [pytest.param(seed, DELTA, id=str(seed)) for seed in range(1, 6)]
-        + [pytest.param(seed, 0.0, id=f"{seed}-delta0") for seed in range(1, 6)],
+        [pytest.param(seed, DELTA, id=str(seed)) for seed in range(1, 21)]
+        + [pytest.param(seed, 0.0, id=f"{seed}-delta0") for seed in range(1, 21)],
     )
     def test_contended_traces_match_exactly(self, seed, delta):
         """With zero control latencies the component system (controller +
         switch + agents + teardown-based preemption) reproduces the
-        flow-level model's per-Coflow CCTs exactly — the strongest
-        cross-validation in the suite.  At δ = 0 a replan often lands
-        exactly when a reservation goes live and re-plans it unchanged."""
+        flow-level model's per-Coflow switching counts exactly and its
+        CCTs to within 1e-12 s.  At δ = 0 a replan often lands exactly
+        when a reservation goes live and re-plans it unchanged.
+
+        The CCTs are not bit-identical: the controller plans
+        ``total_left`` minus its in-flight estimate rather than the
+        simulator's banked remainder, and it does not anchor continuation
+        ends, so a float sum can round differently (about one record in
+        five, by at most 2.7e-15 s over seeds 1-40).  Changing either
+        would change the §6 records the repository benchmark's golden
+        digest pins."""
         trace = random_trace(seed)
         system = simulate_system(trace, B, delta).by_id()
         flow = simulate_inter_sunflow(trace, B, delta).by_id()
         assert set(system) == set(flow)
         for cid in system:
-            assert system[cid].cct == pytest.approx(flow[cid].cct, abs=1e-6)
+            assert system[cid].cct == pytest.approx(flow[cid].cct, rel=0, abs=1e-12)
+            assert system[cid].switching_count == flow[cid].switching_count
 
 
 class TestLatencyEffects:
