@@ -1,7 +1,8 @@
 """Build script: the pure-Python package plus the optional native planner.
 
 ``repro._native`` (src/repro/_native.c) is the compiled twin of the
-Sunflow scheduling loop, and runs by default whenever it is built (``repro.backend`` resolves the choice).
+Sunflow scheduling loop and of the shortest-first ordering scan, and runs
+by default whenever it is built (``repro.backend`` resolves the choice).
 It is strictly optional: when no C compiler is available the build warns
 and continues, and the default backend is the pure-Python loop, with no
 warning — every test and benchmark still runs, just slower.

@@ -1,23 +1,35 @@
-/* Native planner kernel: the `SunflowScheduler.schedule_demand` hot loop.
+/* Native planner kernel: Algorithm 1's InterCoflow loop, one call per replan.
  *
- * This module is the compiled twin of the event-driven scheduling loop in
- * `repro/core/sunflow.py` (`SunflowScheduler._plan_python`).  It operates
- * directly on the PortReservationTable's struct-of-arrays storage — the
+ * `schedule_many_packed` is the compiled twin of the event-driven
+ * scheduling loop in `repro/core/sunflow.py` (`SunflowScheduler._plan_python`),
+ * run over a whole priority-ordered batch of Coflows in one call.  It
+ * works on the PortReservationTable's struct-of-arrays storage — the
  * per-port `array('d')` interleaved boundary arrays and `array('q')`
- * journal-ref arrays documented in `repro/core/prt.py` — through the
- * buffer protocol, so no port timeline is copied across the Python/C
- * boundary.  Raw boundary pointers are cached per port and invalidated
- * after this module's own inserts; that is sound because the scheduler
- * holds the GIL throughout and nothing else mutates the table during a
- * `schedule_demand` call.  Buffers are released *before* any
- * `array.insert` call (arrays refuse to resize while exporting a buffer).
+ * journal-ref arrays documented in `repro/core/prt.py` — in three steps:
+ *
+ *   1. validate every batch item, then copy the timelines of every port
+ *      the batch touches into kernel memory once;
+ *   2. plan each Coflow, in batch order, on those copies: a reservation's
+ *      boundary and ref inserts are `memmove`s, and each Coflow sees the
+ *      reservations of the ones before it;
+ *   3. write each grown timeline back into its array once, then extend
+ *      the journal and `_ends` and clear `_ends_sorted`.
+ *
+ * A malformed item raises in step 1 with the table untouched.  An error
+ * in step 2 still runs step 3 before it propagates, so the table then
+ * holds exactly what writing each reservation as it was made would have
+ * left.  The scheduler holds the GIL throughout, and nothing else
+ * mutates the table during a call.
+ *
+ * `port_bottleneck` is the compiled twin of `CoflowView.bottleneck`
+ * (`repro/core/policies.py`), the shortest-first ordering scan.
  *
  * Bitwise contract: every float expression is kept verbatim from the
- * Python loop — same operand order, double precision throughout, and the
+ * Python loops — same operand order, double precision throughout, and the
  * extension is compiled with `-ffp-contract=off` so no FMA contraction
  * can change a rounding.  The differential suites in
  * `tests/kernels/test_native_planner.py` fuzz this module against the
- * Python loop and require byte-identical reservations.
+ * Python loops and require byte-identical reservations, tables and loads.
  *
  * Structural liberties that provably cannot change the output:
  *   - seed events are sorted + uniqued instead of `list(set(...))` +
@@ -28,7 +40,10 @@
  *     slots instead of Python sets (membership-equivalent);
  *   - the multi-queue interleave scans queue heads for the minimum
  *     order index instead of keeping a heads heap (order indices are
- *     unique, so the selection sequence is identical).
+ *     unique, so the selection sequence is identical);
+ *   - the bottleneck scan keeps per-port loads in a hash table instead of
+ *     a dict (each port's sum still accumulates in iteration order, and
+ *     the max of positive loads does not depend on their order).
  *
  * `LAYOUT_VERSION` must match `repro.core.prt.PRT_LAYOUT_VERSION`; the
  * backend resolver (`repro/backend.py`) refuses to use a stale build.
@@ -47,8 +62,8 @@
 /* Interned attribute/method names, created once at module init. */
 static PyObject *str__in_bounds, *str__in_refs, *str__out_bounds,
     *str__out_refs, *str__reservations, *str__ends, *str__ends_sorted,
-    *str_insert, *str_append, *str_src, *str_dst, *str_start,
-    *str_end, *str_coflow_id, *str_setup;
+    *str_frombytes, *str_src, *str_dst, *str_start, *str_end,
+    *str_coflow_id, *str_setup;
 static PyObject *array_type;     /* array.array */
 static PyObject *typecode_d, *typecode_q;
 static PyObject *empty_tuple;
@@ -62,15 +77,16 @@ typedef struct {
     int64_t port;
     int is_input;
     PyObject *port_obj;       /* PyLong(port), strong */
-    PyObject *bounds;         /* array('d') or NULL when absent from the dict */
-    PyObject *refs;           /* array('q') or NULL */
-    PyObject *bounds_insert;  /* cached bound methods, lazy */
-    PyObject *refs_insert;
-    double *bdata;            /* cached raw boundary doubles */
-    Py_ssize_t blen;          /* number of doubles */
-    int bvalid;
+    PyObject *bounds;         /* the table's array('d'), strong; NULL if absent */
+    PyObject *refs;           /* the table's array('q'), strong; NULL if absent */
+    double *bdata;            /* kernel copy of the boundaries */
+    int64_t *rdata;           /* kernel copy of the journal refs (blen / 2) */
+    Py_ssize_t blen;          /* boundaries held */
+    Py_ssize_t bcap;          /* boundaries allocated (even; rdata holds bcap / 2) */
+    Py_ssize_t blen0;         /* boundaries in the table's array at copy-in */
     int64_t taken_epoch;      /* == ctx epoch: port taken this batch */
-    int64_t rel_epoch;        /* == ctx epoch: already collected this batch */
+    int64_t rel_epoch;        /* == ctx epoch: collected this batch, or
+                                 seeded for the Coflow being planned */
     int32_t *q;               /* waiting entry indices, sorted ascending */
     Py_ssize_t qlen, qcap;
 } Slot;
@@ -82,7 +98,7 @@ typedef struct {
     double setup_left;
     double anchor;            /* NaN encodes "no anchor" */
     Py_ssize_t in_slot, out_slot;
-    int32_t index;            /* == order_index (list position) */
+    int32_t index;            /* == order_index (position in its Coflow) */
 } CEntry;
 
 typedef struct {
@@ -97,6 +113,14 @@ typedef struct {
     int active;
 } DQueue;
 
+/* One batch item: a Coflow's entries in consideration order. */
+typedef struct {
+    PyObject *coflow_id;      /* borrowed from the batch snapshot */
+    PyObject *out_list;       /* borrowed */
+    Py_ssize_t first, n;      /* its entries: all_entries[first, first + n) */
+    int has_est;
+} Item;
+
 /* Offsets of the Reservation __slots__, resolved once per call from the
  * class's member descriptors; when the class is not a plain slots
  * dataclass (offs_ok == 0) construction falls back to PyObject_SetAttr. */
@@ -107,19 +131,28 @@ typedef struct {
 typedef struct {
     PyObject *prt;            /* borrowed */
     PyObject *res_type;       /* borrowed */
-    PyObject *coflow_id;      /* borrowed */
-    PyObject *out_list;       /* borrowed */
     double start_time, delta, eps;
-    int has_established;
     PyObject *in_bounds_map, *in_refs_map;    /* strong */
     PyObject *out_bounds_map, *out_refs_map;  /* strong */
     PyObject *journal;        /* list, strong */
     PyObject *ends;           /* array('d'), strong */
-    PyObject *ends_append;    /* lazy, strong */
     PyObject *delta_obj;      /* PyFloat(delta), strong */
-    int ends_dirty;
-    Slot *slots;
+    Py_ssize_t journal0;      /* journal length when the call began */
+    /* Reservations made by this call, in journal order. */
+    PyObject *made;           /* list, strong */
+    int64_t *made_src, *made_dst;
+    double *made_end;
+    Py_ssize_t made_cap;
+    Slot *slots;              /* every port the batch touches, by key */
     Py_ssize_t nslots;
+    CEntry *all_entries;
+    Py_ssize_t nall, all_cap;
+    Item *items;
+    Py_ssize_t nitems;
+    /* The Coflow being planned. */
+    PyObject *coflow_id;      /* borrowed */
+    PyObject *out_list;       /* borrowed */
+    int has_established;
     CEntry *entries;
     Py_ssize_t nentries;
     Event *heap;
@@ -275,28 +308,6 @@ find_slot(Ctx *c, int64_t key)
     return NULL;
 }
 
-/* Refresh the cached raw boundary pointer.  The buffer is released
- * immediately — the pointer stays valid until the array resizes, which
- * only this module's own inserts can cause (they clear `bvalid`). */
-static int
-slot_refresh(Slot *s)
-{
-    if (s->bounds == NULL) {
-        s->bdata = NULL;
-        s->blen = 0;
-        s->bvalid = 1;
-        return 0;
-    }
-    Py_buffer view;
-    if (PyObject_GetBuffer(s->bounds, &view, PyBUF_SIMPLE) < 0)
-        return -1;
-    s->bdata = (double *)view.buf;
-    s->blen = (Py_ssize_t)(view.len / (Py_ssize_t)sizeof(double));
-    PyBuffer_Release(&view);
-    s->bvalid = 1;
-    return 0;
-}
-
 /* Sorted insert into a slot's waiting queue (== bisect.insort by
  * order_index; entry indices equal order indices). */
 static int
@@ -372,6 +383,88 @@ q_reattach(Slot *s, const int32_t *data, Py_ssize_t n)
     return 0;
 }
 
+/* Room for one more reservation on the slot's timeline copy. */
+static int
+slot_reserve(Slot *s)
+{
+    if (s->blen + 2 <= s->bcap)
+        return 0;
+    Py_ssize_t cap = s->bcap ? 2 * s->bcap : 16;
+    double *b = (double *)PyMem_Realloc(s->bdata, (size_t)cap * sizeof(double));
+    if (b == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    s->bdata = b;
+    int64_t *r = (int64_t *)PyMem_Realloc(s->rdata, (size_t)(cap / 2) * sizeof(int64_t));
+    if (r == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    s->rdata = r;
+    s->bcap = cap;
+    return 0;
+}
+
+/* The Python loop's `bounds.insert(k, end); bounds.insert(k, t);
+ * refs.insert(k >> 1, idx)` on the kernel copy (k is even: the port is
+ * free there).  Room was made by `slot_reserve`. */
+static void
+slot_insert(Slot *s, Py_ssize_t k, double t, double end, int64_t idx)
+{
+    memmove(s->bdata + k + 2, s->bdata + k, (size_t)(s->blen - k) * sizeof(double));
+    s->bdata[k] = t;
+    s->bdata[k + 1] = end;
+    Py_ssize_t j = k >> 1;
+    memmove(s->rdata + j + 1, s->rdata + j,
+            (size_t)((s->blen >> 1) - j) * sizeof(int64_t));
+    s->rdata[j] = idx;
+    s->blen += 2;
+}
+
+/* Copy one port's timeline out of the table (step 1), checking it has
+ * the documented layout. */
+static int
+slot_copy_in(Slot *s, PyObject *bounds, PyObject *refs)
+{
+    if (!PyObject_TypeCheck(bounds, (PyTypeObject *)array_type) ||
+        !PyObject_TypeCheck(refs, (PyTypeObject *)array_type)) {
+        PyErr_Format(PyExc_TypeError,
+                     "PRT port %lld: timelines must be arrays", (long long)s->port);
+        return -1;
+    }
+    Py_buffer bv, rv;
+    if (PyObject_GetBuffer(bounds, &bv, PyBUF_FORMAT) < 0)
+        return -1;
+    if (PyObject_GetBuffer(refs, &rv, PyBUF_FORMAT) < 0) {
+        PyBuffer_Release(&bv);
+        return -1;
+    }
+    Py_ssize_t blen = bv.len / (Py_ssize_t)sizeof(double);
+    int rc = -1;
+    if (strcmp(bv.format, "d") != 0 || strcmp(rv.format, "q") != 0 || (blen & 1) ||
+        rv.len / (Py_ssize_t)sizeof(int64_t) != blen / 2) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "PRT port %lld: bounds/refs arrays do not match the layout",
+                     (long long)s->port);
+        goto done;
+    }
+    s->bdata = (double *)PyMem_Malloc((size_t)(blen ? blen : 1) * sizeof(double));
+    s->rdata = (int64_t *)PyMem_Malloc((size_t)(blen ? blen / 2 : 1) * sizeof(int64_t));
+    if (s->bdata == NULL || s->rdata == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(s->bdata, bv.buf, (size_t)blen * sizeof(double));
+    memcpy(s->rdata, rv.buf, (size_t)(blen / 2) * sizeof(int64_t));
+    s->blen = s->blen0 = s->bcap = blen;
+    rc = 0;
+done:
+    PyBuffer_Release(&rv);
+    PyBuffer_Release(&bv);
+    return rc;
+}
+
 /* Create the port's bounds/refs arrays and publish them in the PRT
  * dicts, mirroring the `ib is None` branch of the Python loop. */
 static int
@@ -395,75 +488,82 @@ slot_create_arrays(Ctx *c, Slot *s)
     }
     s->bounds = bounds;   /* keep the strong references */
     s->refs = refs;
-    s->bdata = NULL;
-    s->blen = 0;
-    s->bvalid = 1;
     return 0;
 }
 
-/* bounds.insert(k, end); bounds.insert(k, t); refs.insert(k >> 1, idx) */
+/* ------------------------------------------------------------------ */
+/* Write-back (step 3)                                                 */
+/* ------------------------------------------------------------------ */
+
+/* Append `nbytes` of raw `data` to an array (`arr.frombytes`). */
 static int
-slot_insert(Ctx *c, Slot *s, Py_ssize_t k, PyObject *t_obj, PyObject *end_obj,
-            PyObject *idx_obj)
+array_extend(PyObject *arr, const void *data, Py_ssize_t nbytes)
 {
-    if (s->bounds == NULL && slot_create_arrays(c, s) < 0)
+    PyObject *view = PyMemoryView_FromMemory((char *)data, nbytes, PyBUF_READ);
+    if (view == NULL)
         return -1;
-    if (s->bounds_insert == NULL) {
-        s->bounds_insert = PyObject_GetAttr(s->bounds, str_insert);
-        if (s->bounds_insert == NULL)
-            return -1;
-    }
-    if (s->refs_insert == NULL) {
-        if (s->refs == NULL) {
-            PyErr_Format(PyExc_RuntimeError,
-                         "PRT port %lld has bounds but no refs array",
-                         (long long)s->port);
-            return -1;
-        }
-        s->refs_insert = PyObject_GetAttr(s->refs, str_insert);
-        if (s->refs_insert == NULL)
-            return -1;
-    }
-    PyObject *kobj = PyLong_FromSsize_t(k);
-    if (kobj == NULL)
+    PyObject *r = PyObject_CallMethodOneArg(arr, str_frombytes, view);
+    Py_DECREF(view);
+    if (r == NULL)
         return -1;
-    PyObject *jobj = PyLong_FromSsize_t(k >> 1);
-    if (jobj == NULL) {
-        Py_DECREF(kobj);
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Make an array of n0 items equal the kernel's n items: append the tail,
+ * then overwrite the head (inserts may have shifted it). */
+static int
+array_store(PyObject *arr, const void *data, Py_ssize_t n0, Py_ssize_t n,
+            Py_ssize_t size)
+{
+    if (array_extend(arr, (const char *)data + n0 * size, (n - n0) * size) < 0)
+        return -1;
+    if (n0 == 0)
+        return 0;
+    Py_buffer view;
+    if (PyObject_GetBuffer(arr, &view, PyBUF_WRITABLE) < 0)
+        return -1;
+    if (view.len != n * size) {
+        PyBuffer_Release(&view);
+        PyErr_SetString(PyExc_RuntimeError, "PRT array resized during a plan");
         return -1;
     }
-    int rv = -1;
-    PyObject *argv[2];
-    argv[0] = kobj;
-    argv[1] = end_obj;
-    PyObject *r = PyObject_Vectorcall(s->bounds_insert, argv, 2, NULL);
-    if (r == NULL)
-        goto done;
-    Py_DECREF(r);
-    argv[1] = t_obj;
-    r = PyObject_Vectorcall(s->bounds_insert, argv, 2, NULL);
-    if (r == NULL)
-        goto done;
-    Py_DECREF(r);
-    argv[0] = jobj;
-    argv[1] = idx_obj;
-    r = PyObject_Vectorcall(s->refs_insert, argv, 2, NULL);
-    if (r == NULL)
-        goto done;
-    Py_DECREF(r);
-    rv = 0;
-done:
-    Py_DECREF(kobj);
-    Py_DECREF(jobj);
-    s->bvalid = 0;   /* the insert may have reallocated the array */
-    return rv;
+    memcpy(view.buf, data, (size_t)(n0 * size));
+    PyBuffer_Release(&view);
+    return 0;
+}
+
+static int
+write_back(Ctx *c)
+{
+    for (Py_ssize_t i = 0; i < c->nslots; i++) {
+        Slot *s = &c->slots[i];
+        if (s->blen == s->blen0)
+            continue;
+        if (s->bounds == NULL && slot_create_arrays(c, s) < 0)
+            return -1;
+        if (array_store(s->bounds, s->bdata, s->blen0, s->blen, sizeof(double)) < 0 ||
+            array_store(s->refs, s->rdata, s->blen0 >> 1, s->blen >> 1,
+                        sizeof(int64_t)) < 0)
+            return -1;
+        s->blen0 = s->blen;
+    }
+    Py_ssize_t nmade = PyList_GET_SIZE(c->made);
+    if (nmade == 0)
+        return 0;
+    Py_ssize_t n = PyList_GET_SIZE(c->journal);
+    if (PyList_SetSlice(c->journal, n, n, c->made) < 0 ||
+        array_extend(c->ends, c->made_end, nmade * (Py_ssize_t)sizeof(double)) < 0 ||
+        PyObject_SetAttr(c->prt, str__ends_sorted, Py_None) < 0)
+        return -1;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
 /* PRT query twins                                                     */
 /* ------------------------------------------------------------------ */
 
-/* `PortReservationTable.release_of_block`, on the cached buffers.  Only
+/* `PortReservationTable.release_of_block`, on the kernel copies.  Only
  * the `on_input` half of the return value is used by the caller. */
 static int
 release_of_block_c(const Ctx *c, const Slot *si, const Slot *so, double t,
@@ -498,16 +598,44 @@ release_of_block_c(const Ctx *c, const Slot *si, const Slot *so, double t,
 }
 
 /* ------------------------------------------------------------------ */
-/* Reservation construction + journal insert                           */
+/* Reservation construction                                            */
 /* ------------------------------------------------------------------ */
 
+static int
+made_reserve(Ctx *c, Py_ssize_t need)
+{
+    if (need <= c->made_cap)
+        return 0;
+    Py_ssize_t cap = c->made_cap ? 2 * c->made_cap : 64;
+    int64_t *src = (int64_t *)PyMem_Realloc(c->made_src, (size_t)cap * sizeof(int64_t));
+    if (src != NULL)
+        c->made_src = src;
+    int64_t *dst = (int64_t *)PyMem_Realloc(c->made_dst, (size_t)cap * sizeof(int64_t));
+    if (dst != NULL)
+        c->made_dst = dst;
+    double *end = (double *)PyMem_Realloc(c->made_end, (size_t)cap * sizeof(double));
+    if (end != NULL)
+        c->made_end = end;
+    if (src == NULL || dst == NULL || end == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    c->made_cap = cap;
+    return 0;
+}
+
+/* Reserve [t, end) on both slots.  Everything that can fail runs before
+ * the timeline inserts, so the copies and `made` never disagree. */
 static int
 make_reservation(Ctx *c, Slot *si, Slot *so, Py_ssize_t ki, Py_ssize_t ko,
                  double t, double end, double setup)
 {
+    Py_ssize_t nmade = PyList_GET_SIZE(c->made);
+    if (made_reserve(c, nmade + 1) < 0 || slot_reserve(si) < 0 ||
+        slot_reserve(so) < 0)
+        return -1;
     int rv = -1;
-    PyObject *res = NULL, *t_obj = NULL, *end_obj = NULL, *setup_obj = NULL,
-             *idx_obj = NULL, *r = NULL;
+    PyObject *res = NULL, *t_obj = NULL, *end_obj = NULL, *setup_obj = NULL;
     PyTypeObject *tp = (PyTypeObject *)c->res_type;
     res = tp->tp_new(tp, empty_tuple, NULL);
     if (res == NULL)
@@ -550,28 +678,13 @@ make_reservation(Ctx *c, Slot *si, Slot *so, Py_ssize_t ki, Py_ssize_t ko,
              PyObject_SetAttr(res, str_coflow_id, c->coflow_id) < 0 ||
              PyObject_SetAttr(res, str_setup, setup_obj) < 0)
         goto done;
-    idx_obj = PyLong_FromSsize_t(PyList_GET_SIZE(c->journal));
-    if (idx_obj == NULL)
+    if (PyList_Append(c->made, res) < 0)
         goto done;
-    if (slot_insert(c, si, ki, t_obj, end_obj, idx_obj) < 0)
-        goto done;
-    if (slot_insert(c, so, ko, t_obj, end_obj, idx_obj) < 0)
-        goto done;
-    if (c->ends_append == NULL) {
-        c->ends_append = PyObject_GetAttr(c->ends, str_append);
-        if (c->ends_append == NULL)
-            goto done;
-    }
-    r = PyObject_Vectorcall(c->ends_append, &end_obj, 1, NULL);
-    if (r == NULL)
-        goto done;
-    if (!c->ends_dirty) {
-        if (PyObject_SetAttr(c->prt, str__ends_sorted, Py_None) < 0)
-            goto done;
-        c->ends_dirty = 1;
-    }
-    if (PyList_Append(c->journal, res) < 0)
-        goto done;
+    c->made_src[nmade] = si->port;
+    c->made_dst[nmade] = so->port;
+    c->made_end[nmade] = end;
+    slot_insert(si, ki, t, end, c->journal0 + nmade);
+    slot_insert(so, ko, t, end, c->journal0 + nmade);
     if (PyList_Append(c->out_list, res) < 0)
         goto done;
     rv = 0;
@@ -580,8 +693,6 @@ done:
     Py_XDECREF(t_obj);
     Py_XDECREF(end_obj);
     Py_XDECREF(setup_obj);
-    Py_XDECREF(idx_obj);
-    Py_XDECREF(r);
     return rv;
 }
 
@@ -594,10 +705,6 @@ examine(Ctx *c, CEntry *e, double t, int origin)
 {
     Slot *si = &c->slots[e->in_slot];
     Slot *so = &c->slots[e->out_slot];
-    if (!si->bvalid && slot_refresh(si) < 0)
-        return -1;
-    if (!so->bvalid && slot_refresh(so) < 0)
-        return -1;
     double teps = t + c->eps;
     Py_ssize_t ki = 0, ko = 0;
     /* Covering probes: one bisect per port; odd parity means taken. */
@@ -663,78 +770,77 @@ examine(Ctx *c, CEntry *e, double t, int origin)
 /* Release-event seeding                                               */
 /* ------------------------------------------------------------------ */
 
+/* Seed the ends after `start_time + eps` of the reservations on one port.
+ * The peer port of a reservation this call made comes from the kernel's
+ * arrays; that of one already in the table (a guard window, a blocker)
+ * comes from the journal. */
 static int
-seed_events(Ctx *c)
+seed_slot(Ctx *c, Slot *s)
 {
-    Py_ssize_t journal_len = PyList_GET_SIZE(c->journal);
-    for (Py_ssize_t sidx = 0; sidx < c->nslots; sidx++) {
-        Slot *s = &c->slots[sidx];
-        if (slot_refresh(s) < 0)
-            return -1;
-        if (s->blen == 0)
-            continue;
-        Py_ssize_t k = bisect_right_d(s->bdata, s->blen, c->start_time + c->eps) >> 1;
-        Py_ssize_t nres = s->blen >> 1;
-        if (k >= nres)
-            continue;
-        Py_ssize_t count = nres - k;
-        Py_buffer view;
-        if (PyObject_GetBuffer(s->refs, &view, PyBUF_SIMPLE) < 0)
-            return -1;
-        if ((Py_ssize_t)(view.len / (Py_ssize_t)sizeof(int64_t)) < nres) {
-            PyBuffer_Release(&view);
-            PyErr_Format(PyExc_RuntimeError,
-                         "PRT port %lld: refs shorter than bounds",
-                         (long long)s->port);
-            return -1;
+    Py_ssize_t nres = s->blen >> 1;
+    Py_ssize_t k = bisect_right_d(s->bdata, s->blen, c->start_time + c->eps) >> 1;
+    if (k >= nres)
+        return 0;
+    if (heap_reserve(c, c->hlen + (nres - k)) < 0)
+        return -1;
+    Py_ssize_t nmade = PyList_GET_SIZE(c->made);
+    for (Py_ssize_t j = k; j < nres; j++) {
+        int64_t ref = s->rdata[j];
+        int64_t peer;
+        if (ref >= c->journal0 && ref - c->journal0 < nmade) {
+            Py_ssize_t m = (Py_ssize_t)(ref - c->journal0);
+            peer = s->is_input ? c->made_dst[m] : c->made_src[m];
         }
-        int64_t *refs = (int64_t *)PyMem_Malloc((size_t)count * sizeof(int64_t));
-        if (refs == NULL) {
-            PyBuffer_Release(&view);
-            PyErr_NoMemory();
-            return -1;
-        }
-        memcpy(refs, (int64_t *)view.buf + k, (size_t)count * sizeof(int64_t));
-        PyBuffer_Release(&view);
-        if (heap_reserve(c, c->hlen + count) < 0) {
-            PyMem_Free(refs);
-            return -1;
-        }
-        for (Py_ssize_t i = 0; i < count; i++) {
-            int64_t ref = refs[i];
-            if (ref < 0 || ref >= journal_len) {
-                PyMem_Free(refs);
-                PyErr_Format(PyExc_RuntimeError,
-                             "PRT port %lld: journal ref %lld out of range",
-                             (long long)s->port, (long long)ref);
-                return -1;
-            }
+        else if (ref >= 0 && ref < c->journal0 && ref < PyList_GET_SIZE(c->journal)) {
             PyObject *item = PyList_GET_ITEM(c->journal, ref);
             PyObject *peer_obj =
                 PyObject_GetAttr(item, s->is_input ? str_dst : str_src);
-            if (peer_obj == NULL) {
-                PyMem_Free(refs);
+            if (peer_obj == NULL)
                 return -1;
-            }
-            long long peer = PyLong_AsLongLong(peer_obj);
+            peer = PyLong_AsLongLong(peer_obj);
             Py_DECREF(peer_obj);
-            if (peer == -1 && PyErr_Occurred()) {
-                PyMem_Free(refs);
+            if (peer == -1 && PyErr_Occurred())
                 return -1;
-            }
-            Event ev;
-            ev.t = s->bdata[2 * (k + i) + 1];
-            if (s->is_input) {
-                ev.src = s->port;
-                ev.dst = peer;
-            }
-            else {
-                ev.src = peer;
-                ev.dst = s->port;
-            }
-            c->heap[c->hlen++] = ev;
         }
-        PyMem_Free(refs);
+        else {
+            PyErr_Format(PyExc_RuntimeError,
+                         "PRT port %lld: journal ref %lld out of range",
+                         (long long)s->port, (long long)ref);
+            return -1;
+        }
+        Event ev;
+        ev.t = s->bdata[2 * j + 1];
+        if (s->is_input) {
+            ev.src = s->port;
+            ev.dst = peer;
+        }
+        else {
+            ev.src = peer;
+            ev.dst = s->port;
+        }
+        c->heap[c->hlen++] = ev;
+    }
+    return 0;
+}
+
+/* Seed the release events on the current Coflow's own ports: releases
+ * elsewhere cannot change any of its entries' feasibility. */
+static int
+seed_events(Ctx *c)
+{
+    c->hlen = 0;
+    for (Py_ssize_t i = 0; i < c->nentries; i++) {
+        Slot *pair[2] = {&c->slots[c->entries[i].in_slot],
+                         &c->slots[c->entries[i].out_slot]};
+        for (int side = 0; side < 2; side++) {
+            Slot *s = pair[side];
+            if (s->rel_epoch == c->epoch)
+                continue;
+            s->rel_epoch = c->epoch;
+            s->qlen = 0;
+            if (seed_slot(c, s) < 0)
+                return -1;
+        }
     }
     /* `list(set(seeded))` + heapify, deterministically: sort by
      * (t, src, dst) and drop exact duplicates (a circuit touching both a
@@ -793,8 +899,8 @@ ctx_free(Ctx *c)
             Py_XDECREF(s->port_obj);
             Py_XDECREF(s->bounds);
             Py_XDECREF(s->refs);
-            Py_XDECREF(s->bounds_insert);
-            Py_XDECREF(s->refs_insert);
+            PyMem_Free(s->bdata);
+            PyMem_Free(s->rdata);
             PyMem_Free(s->q);
         }
         PyMem_Free(c->slots);
@@ -804,15 +910,19 @@ ctx_free(Ctx *c)
             PyMem_Free(c->dqs[i].data);
         PyMem_Free(c->dqs);
     }
-    PyMem_Free(c->entries);
+    PyMem_Free(c->all_entries);
+    PyMem_Free(c->items);
     PyMem_Free(c->heap);
+    PyMem_Free(c->made_src);
+    PyMem_Free(c->made_dst);
+    PyMem_Free(c->made_end);
+    Py_XDECREF(c->made);
     Py_XDECREF(c->in_bounds_map);
     Py_XDECREF(c->in_refs_map);
     Py_XDECREF(c->out_bounds_map);
     Py_XDECREF(c->out_refs_map);
     Py_XDECREF(c->journal);
     Py_XDECREF(c->ends);
-    Py_XDECREF(c->ends_append);
     Py_XDECREF(c->delta_obj);
 }
 
@@ -858,72 +968,214 @@ int64_key_cmp(const void *pa, const void *pb)
     return a < b ? -1 : (a > b ? 1 : 0);
 }
 
-/* Fetch and type-check the PRT storage attributes plus per-call
- * constants. */
+/* Read one item's `(srcs, dsts, vals)` columns.  Entries at or below
+ * `eps` are skipped, exactly as the Python loop's entry packing skips
+ * them, so the surviving positions are the order indices. */
 static int
-ctx_attach(Ctx *c, PyObject *prt, PyObject *res_type, PyObject *coflow_id,
-           double start_time, double delta, double eps, int has_established,
-           PyObject *out_list)
+read_columns(Ctx *c, Item *it, Py_ssize_t i, PyObject *srcs, PyObject *dsts,
+             PyObject *vals)
 {
-    c->prt = prt;
-    c->res_type = res_type;
-    c->coflow_id = coflow_id;
-    c->out_list = out_list;
-    c->start_time = start_time;
-    c->delta = delta;
-    c->eps = eps;
-    c->has_established = has_established;
-    c->epoch = 1;
+    Py_buffer sv, dv, vv;
+    if (PyObject_GetBuffer(srcs, &sv, PyBUF_SIMPLE) < 0)
+        return -1;
+    if (PyObject_GetBuffer(dsts, &dv, PyBUF_SIMPLE) < 0) {
+        PyBuffer_Release(&sv);
+        return -1;
+    }
+    if (PyObject_GetBuffer(vals, &vv, PyBUF_SIMPLE) < 0) {
+        PyBuffer_Release(&dv);
+        PyBuffer_Release(&sv);
+        return -1;
+    }
+    int rc = -1;
+    Py_ssize_t n_all = sv.len / (Py_ssize_t)sizeof(int64_t);
+    if (dv.len / (Py_ssize_t)sizeof(int64_t) != n_all ||
+        vv.len / (Py_ssize_t)sizeof(double) != n_all) {
+        PyErr_Format(PyExc_TypeError,
+                     "batch item %zd: packed demand columns disagree in length", i);
+        goto done;
+    }
+    if (n_all > INT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "too many demand entries");
+        goto done;
+    }
+    if (c->nall + n_all > c->all_cap) {
+        Py_ssize_t cap = c->all_cap ? c->all_cap : 64;
+        while (cap < c->nall + n_all)
+            cap *= 2;
+        CEntry *all = (CEntry *)PyMem_Realloc(c->all_entries, (size_t)cap * sizeof(CEntry));
+        if (all == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        c->all_entries = all;
+        c->all_cap = cap;
+    }
+    const int64_t *src_col = (const int64_t *)sv.buf;
+    const int64_t *dst_col = (const int64_t *)dv.buf;
+    const double *val_col = (const double *)vv.buf;
+    it->first = c->nall;
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t k = 0; k < n_all; k++) {
+        if (val_col[k] > c->eps) {
+            CEntry *e = &c->all_entries[c->nall + kept];
+            e->src = src_col[k];
+            e->dst = dst_col[k];
+            e->remaining = val_col[k];
+            e->has_est = 0;
+            e->setup_left = 0.0;
+            e->anchor = NAN;
+            e->index = (int32_t)kept;
+            kept++;
+        }
+    }
+    it->n = kept;
+    c->nall += kept;
+    rc = 0;
+done:
+    PyBuffer_Release(&vv);
+    PyBuffer_Release(&dv);
+    PyBuffer_Release(&sv);
+    return rc;
+}
 
-    c->in_bounds_map = PyObject_GetAttr(prt, str__in_bounds);
-    c->in_refs_map = PyObject_GetAttr(prt, str__in_refs);
-    c->out_bounds_map = PyObject_GetAttr(prt, str__out_bounds);
-    c->out_refs_map = PyObject_GetAttr(prt, str__out_refs);
-    c->journal = PyObject_GetAttr(prt, str__reservations);
-    c->ends = PyObject_GetAttr(prt, str__ends);
+/* Look up each entry's `(setup_left, anchor)` in an item's established
+ * circuits. */
+static int
+read_established(Ctx *c, Item *it, Py_ssize_t i, PyObject *established)
+{
+    for (Py_ssize_t k = 0; k < it->n; k++) {
+        CEntry *e = &c->all_entries[it->first + k];
+        PyObject *key = Py_BuildValue("(LL)", (long long)e->src, (long long)e->dst);
+        if (key == NULL)
+            return -1;
+        PyObject *est = PyDict_GetItemWithError(established, key);
+        Py_DECREF(key);
+        if (est == NULL) {
+            if (PyErr_Occurred())
+                return -1;
+            continue;
+        }
+        if (!PyTuple_Check(est) || PyTuple_GET_SIZE(est) != 2) {
+            PyErr_Format(PyExc_TypeError,
+                         "batch item %zd: established values must be "
+                         "(setup_left, anchor) pairs", i);
+            return -1;
+        }
+        e->has_est = 1;
+        e->setup_left = PyFloat_AsDouble(PyTuple_GET_ITEM(est, 0));
+        if (e->setup_left == -1.0 && PyErr_Occurred())
+            return -1;
+        PyObject *anchor = PyTuple_GET_ITEM(est, 1);
+        if (anchor != Py_None) {
+            e->anchor = PyFloat_AsDouble(anchor);
+            if (e->anchor == -1.0 && PyErr_Occurred())
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* Step 1a: validate the batch and read every item into kernel memory.
+ * Nothing touches the table here. */
+static int
+read_batch(Ctx *c, PyObject *batch)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(batch);
+    c->items = (Item *)PyMem_Calloc((size_t)(n ? n : 1), sizeof(Item));
+    if (c->items == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    c->nitems = n;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PyTuple_GET_ITEM(batch, i);
+        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 6) {
+            PyErr_Format(PyExc_TypeError,
+                         "batch item %zd must be a (coflow_id, srcs, dsts, vals, "
+                         "established_or_None, out_reservations) tuple", i);
+            return -1;
+        }
+        PyObject *established = PyTuple_GET_ITEM(item, 4);
+        Item *it = &c->items[i];
+        it->coflow_id = PyTuple_GET_ITEM(item, 0);
+        it->out_list = PyTuple_GET_ITEM(item, 5);
+        it->has_est = established != Py_None;
+        if (it->has_est && !PyDict_Check(established)) {
+            PyErr_Format(PyExc_TypeError,
+                         "batch item %zd: established must be a dict or None", i);
+            return -1;
+        }
+        if (!PyList_Check(it->out_list)) {
+            PyErr_Format(PyExc_TypeError,
+                         "batch item %zd: out_reservations must be a list", i);
+            return -1;
+        }
+        if (read_columns(c, it, i, PyTuple_GET_ITEM(item, 1),
+                         PyTuple_GET_ITEM(item, 2), PyTuple_GET_ITEM(item, 3)) < 0)
+            return -1;
+        if (it->has_est && read_established(c, it, i, established) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Step 1b: fetch and type-check the PRT storage attributes. */
+static int
+ctx_attach(Ctx *c)
+{
+    c->in_bounds_map = PyObject_GetAttr(c->prt, str__in_bounds);
+    c->in_refs_map = PyObject_GetAttr(c->prt, str__in_refs);
+    c->out_bounds_map = PyObject_GetAttr(c->prt, str__out_bounds);
+    c->out_refs_map = PyObject_GetAttr(c->prt, str__out_refs);
+    c->journal = PyObject_GetAttr(c->prt, str__reservations);
+    c->ends = PyObject_GetAttr(c->prt, str__ends);
     if (c->in_bounds_map == NULL || c->in_refs_map == NULL ||
         c->out_bounds_map == NULL || c->out_refs_map == NULL ||
         c->journal == NULL || c->ends == NULL)
         return -1;
     if (!PyDict_Check(c->in_bounds_map) || !PyDict_Check(c->in_refs_map) ||
         !PyDict_Check(c->out_bounds_map) || !PyDict_Check(c->out_refs_map) ||
-        !PyList_Check(c->journal)) {
+        !PyList_Check(c->journal) ||
+        !PyObject_TypeCheck(c->ends, (PyTypeObject *)array_type)) {
         PyErr_SetString(PyExc_TypeError,
                         "PRT storage layout does not match the native kernel");
         return -1;
     }
-    c->delta_obj = PyFloat_FromDouble(delta);
-    if (c->delta_obj == NULL)
+    c->journal0 = PyList_GET_SIZE(c->journal);
+    c->made = PyList_New(0);
+    c->delta_obj = PyFloat_FromDouble(c->delta);
+    if (c->made == NULL || c->delta_obj == NULL)
         return -1;
     resolve_offsets(c);
     return 0;
 }
 
-/* Build the sorted slot table (and per-entry slot indices) from the
- * already-populated c->entries array. */
+/* Step 1c: build the sorted slot table over every port the batch
+ * touches, copying each one's timeline out of the table. */
 static int
 ctx_build_slots(Ctx *c)
 {
-    Py_ssize_t n = c->nentries;
+    Py_ssize_t n = c->nall;
     int64_t *keys = (int64_t *)PyMem_Malloc((size_t)(2 * n) * sizeof(int64_t));
     if (keys == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     for (Py_ssize_t i = 0; i < n; i++) {
-        keys[2 * i] = c->entries[i].src * 2;
-        keys[2 * i + 1] = c->entries[i].dst * 2 + 1;
+        keys[2 * i] = c->all_entries[i].src * 2;
+        keys[2 * i + 1] = c->all_entries[i].dst * 2 + 1;
     }
     qsort(keys, (size_t)(2 * n), sizeof(int64_t), int64_key_cmp);
     Py_ssize_t nslots = 0;
     for (Py_ssize_t i = 0; i < 2 * n; i++)
         if (i == 0 || keys[i] != keys[i - 1])
             keys[nslots++] = keys[i];
+    int rc = -1;
     c->slots = (Slot *)PyMem_Calloc((size_t)nslots, sizeof(Slot));
     if (c->slots == NULL) {
-        PyMem_Free(keys);
         PyErr_NoMemory();
-        return -1;
+        goto done;
     }
     c->nslots = nslots;
     for (Py_ssize_t i = 0; i < nslots; i++) {
@@ -933,55 +1185,55 @@ ctx_build_slots(Ctx *c)
         s->is_input = (key & 1) == 0;
         s->port = s->is_input ? key / 2 : (key - 1) / 2;
         s->port_obj = PyLong_FromLongLong((long long)s->port);
-        if (s->port_obj == NULL) {
-            PyMem_Free(keys);
-            return -1;
-        }
+        if (s->port_obj == NULL)
+            goto done;
         PyObject *bmap = s->is_input ? c->in_bounds_map : c->out_bounds_map;
         PyObject *rmap = s->is_input ? c->in_refs_map : c->out_refs_map;
         PyObject *bounds = PyDict_GetItemWithError(bmap, s->port_obj);
-        if (bounds == NULL && PyErr_Occurred()) {
-            PyMem_Free(keys);
-            return -1;
-        }
+        if (bounds == NULL && PyErr_Occurred())
+            goto done;
         PyObject *refs = PyDict_GetItemWithError(rmap, s->port_obj);
-        if (refs == NULL && PyErr_Occurred()) {
-            PyMem_Free(keys);
-            return -1;
-        }
+        if (refs == NULL && PyErr_Occurred())
+            goto done;
         if ((bounds == NULL) != (refs == NULL)) {
-            PyMem_Free(keys);
             PyErr_Format(PyExc_RuntimeError,
                          "PRT port %lld: bounds/refs tables out of sync",
                          (long long)s->port);
-            return -1;
+            goto done;
         }
-        Py_XINCREF(bounds);
-        Py_XINCREF(refs);
-        s->bounds = bounds;
-        s->refs = refs;
+        if (bounds != NULL) {
+            Py_INCREF(bounds);
+            Py_INCREF(refs);
+            s->bounds = bounds;
+            s->refs = refs;
+            if (slot_copy_in(s, bounds, refs) < 0)
+                goto done;
+        }
     }
-    PyMem_Free(keys);
     for (Py_ssize_t i = 0; i < n; i++) {
-        CEntry *e = &c->entries[i];
+        CEntry *e = &c->all_entries[i];
         e->in_slot = find_slot(c, e->src * 2) - c->slots;
         e->out_slot = find_slot(c, e->dst * 2 + 1) - c->slots;
     }
     c->dqs = (DQueue *)PyMem_Calloc((size_t)nslots, sizeof(DQueue));
     if (c->dqs == NULL) {
         PyErr_NoMemory();
-        return -1;
+        goto done;
     }
-    return 0;
+    rc = 0;
+done:
+    PyMem_Free(keys);
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
-/* The scheduling loop                                                 */
+/* The scheduling loop (step 2, one Coflow)                            */
 /* ------------------------------------------------------------------ */
 
 static int
 run_schedule(Ctx *c)
 {
+    c->epoch++;   /* fresh taken/seeded stamps for this Coflow */
     if (seed_events(c) < 0)
         return -1;
 
@@ -1104,168 +1356,185 @@ run_schedule(Ctx *c)
 }
 
 /* ------------------------------------------------------------------ */
-/* Entry point                                                         */
+/* Entry points                                                        */
 /* ------------------------------------------------------------------ */
 
-/* The one entry point.  The demand arrives as `(srcs, dsts, vals)`
- * columns (`array('q')`, `array('q')`, `array('d')`) already in
- * consideration order: a PackedDemand's own columns, or columns
- * `SunflowScheduler.schedule_demand` builds.  Entries at or below `eps`
- * are skipped here, exactly as the Python loop's entry packing skips
- * them, so the surviving list positions are the order indices. */
+/* One call per replan.  Each batch item is `(coflow_id, srcs, dsts, vals,
+ * established_or_None, out_reservations)`: demand columns (`array('q')`,
+ * `array('q')`, `array('d')`) already in consideration order — a
+ * PackedDemand's own, or columns `SunflowScheduler._columns` builds — and
+ * the list the Coflow's reservations are appended to. */
 static PyObject *
-native_schedule_demand_packed(PyObject *self, PyObject *args)
+native_schedule_many_packed(PyObject *self, PyObject *args)
 {
-    PyObject *prt, *res_type, *coflow_id, *srcs, *dsts, *vals, *established,
-        *out_list;
+    PyObject *prt, *res_type, *batch;
     double start_time, delta, eps;
-    if (!PyArg_ParseTuple(args, "OOOdddOOOOO!:schedule_demand_packed", &prt,
-                          &res_type, &coflow_id, &start_time, &delta, &eps,
-                          &srcs, &dsts, &vals, &established, &PyList_Type,
-                          &out_list))
+    if (!PyArg_ParseTuple(args, "OOdddO!:schedule_many_packed", &prt, &res_type,
+                          &start_time, &delta, &eps, &PyList_Type, &batch))
         return NULL;
     if (!PyType_Check(res_type)) {
         PyErr_SetString(PyExc_TypeError, "res_type must be a class");
         return NULL;
     }
-    int has_est = established != Py_None;
-    if (has_est && !PyDict_Check(established)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "established must be a dict or None");
+    /* The snapshot keeps every item alive whatever happens to the list. */
+    PyObject *snapshot = PyList_AsTuple(batch);
+    if (snapshot == NULL)
         return NULL;
-    }
-    Py_buffer sv, dv, vv;
-    if (PyObject_GetBuffer(srcs, &sv, PyBUF_SIMPLE) < 0)
-        return NULL;
-    if (PyObject_GetBuffer(dsts, &dv, PyBUF_SIMPLE) < 0) {
-        PyBuffer_Release(&sv);
-        return NULL;
-    }
-    if (PyObject_GetBuffer(vals, &vv, PyBUF_SIMPLE) < 0) {
-        PyBuffer_Release(&dv);
-        PyBuffer_Release(&sv);
-        return NULL;
-    }
-    Py_ssize_t n_all = (Py_ssize_t)(sv.len / (Py_ssize_t)sizeof(int64_t));
-    if ((Py_ssize_t)(dv.len / (Py_ssize_t)sizeof(int64_t)) != n_all ||
-        (Py_ssize_t)(vv.len / (Py_ssize_t)sizeof(double)) != n_all) {
-        PyBuffer_Release(&vv);
-        PyBuffer_Release(&dv);
-        PyBuffer_Release(&sv);
-        PyErr_SetString(PyExc_TypeError,
-                        "packed demand columns disagree in length");
-        return NULL;
-    }
-    CEntry *entries = (CEntry *)PyMem_Calloc(
-        (size_t)(n_all > 0 ? n_all : 1), sizeof(CEntry));
-    if (entries == NULL) {
-        PyBuffer_Release(&vv);
-        PyBuffer_Release(&dv);
-        PyBuffer_Release(&sv);
-        PyErr_NoMemory();
-        return NULL;
-    }
-    const int64_t *src_col = (const int64_t *)sv.buf;
-    const int64_t *dst_col = (const int64_t *)dv.buf;
-    const double *val_col = (const double *)vv.buf;
-    Py_ssize_t kept = 0;
-    for (Py_ssize_t i = 0; i < n_all; i++) {
-        if (val_col[i] > eps) {
-            CEntry *e = &entries[kept];
-            e->src = src_col[i];
-            e->dst = dst_col[i];
-            e->remaining = val_col[i];
-            e->has_est = 0;
-            e->setup_left = 0.0;
-            e->anchor = NAN;
-            e->index = (int32_t)kept;
-            kept++;
-        }
-    }
-    PyBuffer_Release(&vv);
-    PyBuffer_Release(&dv);
-    PyBuffer_Release(&sv);
-    if (kept > INT32_MAX) {
-        PyMem_Free(entries);
-        PyErr_SetString(PyExc_OverflowError, "too many demand entries");
-        return NULL;
-    }
-    if (kept == 0) {
-        /* Mirrors the Python `if not entries: return schedule` — the
-         * table is untouched and nothing is planned. */
-        PyMem_Free(entries);
-        return PyLong_FromLong(0);
-    }
-    if (has_est) {
-        for (Py_ssize_t i = 0; i < kept; i++) {
-            CEntry *e = &entries[i];
-            PyObject *key = Py_BuildValue("(LL)", (long long)e->src,
-                                          (long long)e->dst);
-            if (key == NULL) {
-                PyMem_Free(entries);
-                return NULL;
-            }
-            PyObject *est = PyDict_GetItemWithError(established, key);
-            Py_DECREF(key);
-            if (est == NULL) {
-                if (PyErr_Occurred()) {
-                    PyMem_Free(entries);
-                    return NULL;
-                }
-                continue;
-            }
-            if (!PyTuple_Check(est) || PyTuple_GET_SIZE(est) != 2) {
-                PyMem_Free(entries);
-                PyErr_SetString(PyExc_TypeError,
-                                "established values must be "
-                                "(setup_left, anchor) pairs");
-                return NULL;
-            }
-            e->has_est = 1;
-            e->setup_left = PyFloat_AsDouble(PyTuple_GET_ITEM(est, 0));
-            if (e->setup_left == -1.0 && PyErr_Occurred()) {
-                PyMem_Free(entries);
-                return NULL;
-            }
-            PyObject *anchor = PyTuple_GET_ITEM(est, 1);
-            if (anchor == Py_None)
-                e->anchor = NAN;
-            else {
-                e->anchor = PyFloat_AsDouble(anchor);
-                if (e->anchor == -1.0 && PyErr_Occurred()) {
-                    PyMem_Free(entries);
-                    return NULL;
-                }
-            }
-        }
-    }
     Ctx c;
     memset(&c, 0, sizeof(Ctx));
-    c.entries = entries;
-    c.nentries = kept;
-    c.outstanding = kept;
-    int rv = ctx_attach(&c, prt, res_type, coflow_id, start_time, delta, eps,
-                        has_est, out_list);
-    if (rv == 0)
-        rv = ctx_build_slots(&c);
-    if (rv == 0)
-        rv = run_schedule(&c);
-    ctx_free(&c);  /* frees `entries` too */
+    c.prt = prt;
+    c.res_type = res_type;
+    c.start_time = start_time;
+    c.delta = delta;
+    c.eps = eps;
+    Py_ssize_t nmade = 0;
+    int rv = read_batch(&c, snapshot);
+    if (rv == 0 && c.nall > 0) {
+        rv = ctx_attach(&c);
+        if (rv == 0)
+            rv = ctx_build_slots(&c);
+        if (rv == 0) {
+            for (Py_ssize_t i = 0; i < c.nitems && rv == 0; i++) {
+                Item *it = &c.items[i];
+                if (it->n == 0)
+                    continue;  /* the Python `if not entries` skip */
+                c.coflow_id = it->coflow_id;
+                c.out_list = it->out_list;
+                c.has_established = it->has_est;
+                c.entries = c.all_entries + it->first;
+                c.nentries = it->n;
+                c.outstanding = it->n;
+                rv = run_schedule(&c);
+            }
+            /* Write back even after a planning error, so the table holds
+             * what writing each reservation as it was made would have left;
+             * a write-back error replaces the planning one. */
+            PyObject *type, *value, *tb;
+            PyErr_Fetch(&type, &value, &tb);
+            if (write_back(&c) < 0) {
+                rv = -1;
+                Py_XDECREF(type);
+                Py_XDECREF(value);
+                Py_XDECREF(tb);
+            }
+            else
+                PyErr_Restore(type, value, tb);
+            nmade = PyList_GET_SIZE(c.made);
+        }
+    }
+    ctx_free(&c);
+    Py_DECREF(snapshot);
     if (rv < 0)
         return NULL;
-    return PyLong_FromSsize_t(kept);
+    return PyLong_FromSsize_t(nmade);
+}
+
+/* Largest port accepted by the scan: 2 * port + 2 must fit int64. */
+#define MAX_SCAN_PORT ((INT64_MAX - 2) / 2)
+
+/* Add `seconds` to port `key`'s load in an open-addressing table of
+ * 2^bits cells keyed by key + 1 (0 marks an empty cell). */
+static inline void
+load_add(uint64_t *tags, double *loads, int bits, int64_t key, double seconds)
+{
+    uint64_t tag = (uint64_t)key + 1;
+    size_t mask = ((size_t)1 << bits) - 1;
+    size_t i = (size_t)((tag * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+    while (tags[i] != 0 && tags[i] != tag)
+        i = (i + 1) & mask;
+    if (tags[i] == 0) {
+        tags[i] = tag;
+        loads[i] = 0.0;
+    }
+    loads[i] += seconds;
+}
+
+/* `CoflowView.bottleneck`: the busiest port's summed remaining seconds
+ * over a dict `{(src, dst): seconds}`.  Each port's load accumulates in
+ * the dict's iteration order, so every sum rounds as the Python loop's.
+ * Returns None, and the caller runs the Python loop, unless every key is
+ * an exact `(int, int)` tuple of non-negative ports and every value an
+ * exact float. */
+static PyObject *
+native_port_bottleneck(PyObject *self, PyObject *mapping)
+{
+    if (!PyDict_Check(mapping))
+        Py_RETURN_NONE;
+    int bits = 4;
+    while (((Py_ssize_t)1 << bits) < 4 * PyDict_GET_SIZE(mapping))
+        bits++;
+    size_t cap = (size_t)1 << bits;
+    uint64_t tags_small[256];
+    double loads_small[256];
+    uint64_t *tags = tags_small;
+    double *loads = loads_small;
+    if (cap > 256) {
+        tags = (uint64_t *)PyMem_Malloc(cap * sizeof(uint64_t));
+        loads = (double *)PyMem_Malloc(cap * sizeof(double));
+        if (tags == NULL || loads == NULL) {
+            PyMem_Free(tags);
+            PyMem_Free(loads);
+            return PyErr_NoMemory();
+        }
+    }
+    memset(tags, 0, cap * sizeof(uint64_t));
+    PyObject *result = NULL;
+    PyObject *key, *value;
+    Py_ssize_t pos = 0;
+    while (PyDict_Next(mapping, &pos, &key, &value)) {
+        if (!PyTuple_CheckExact(key) || PyTuple_GET_SIZE(key) != 2 ||
+            !PyFloat_CheckExact(value))
+            goto done;
+        int64_t ports[2];
+        for (int side = 0; side < 2; side++) {
+            PyObject *p = PyTuple_GET_ITEM(key, side);
+            int overflow;
+            if (!PyLong_CheckExact(p))
+                goto done;
+            long long v = PyLong_AsLongLongAndOverflow(p, &overflow);
+            if (overflow || v < 0 || v > MAX_SCAN_PORT)
+                goto done;
+            ports[side] = v;
+        }
+        double seconds = PyFloat_AS_DOUBLE(value);
+        if (!(seconds > 0))
+            continue;
+        load_add(tags, loads, bits, 2 * ports[0], seconds);
+        load_add(tags, loads, bits, 2 * ports[1] + 1, seconds);
+    }
+    /* Every load is a sum of positive floats, so 0.0 is below all of them
+     * and also the empty answer. */
+    double best = 0.0;
+    for (size_t i = 0; i < cap; i++)
+        if (tags[i] != 0 && loads[i] > best)
+            best = loads[i];
+    result = PyFloat_FromDouble(best);
+done:
+    if (tags != tags_small) {
+        PyMem_Free(tags);
+        PyMem_Free(loads);
+    }
+    if (result == NULL && !PyErr_Occurred())
+        Py_RETURN_NONE;
+    return result;
 }
 
 static PyMethodDef native_methods[] = {
-    {"schedule_demand_packed", native_schedule_demand_packed, METH_VARARGS,
-     "schedule_demand_packed(prt, reservation_cls, coflow_id, start_time, "
-     "delta, eps, srcs, dsts, vals, established_or_None, out_reservations)"
+    {"schedule_many_packed", native_schedule_many_packed, METH_VARARGS,
+     "schedule_many_packed(prt, reservation_cls, start_time, delta, eps, batch)"
      "\n\n"
-     "Compiled twin of SunflowScheduler's event-driven scheduling loop over\n"
-     "(srcs, dsts, vals) demand columns in consideration order.  Mutates\n"
-     "the PRT and appends the planned Reservation objects to\n"
-     "out_reservations, bit-identically to the pure-Python loop.  Returns\n"
-     "the number of entries with demand above eps (0: nothing planned)."},
+     "Compiled twin of SunflowScheduler's event-driven scheduling loop, run\n"
+     "over a priority-ordered list of (coflow_id, srcs, dsts, vals,\n"
+     "established_or_None, out_reservations) items on one PRT in one call.\n"
+     "Appends each Coflow's planned Reservation objects to its\n"
+     "out_reservations, bit-identically to the pure-Python loop, and\n"
+     "returns the number of reservations made.  A malformed item raises\n"
+     "TypeError before the table is touched."},
+    {"port_bottleneck", native_port_bottleneck, METH_O,
+     "port_bottleneck(mapping)\n\n"
+     "CoflowView.bottleneck over {(src, dst): seconds}, bit-identically to\n"
+     "the Python loop; None when the mapping is not a dict of exact\n"
+     "(int, int) keys with non-negative ports and exact float values."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1293,8 +1562,7 @@ PyInit__native(void)
     INTERN(str__reservations, "_reservations");
     INTERN(str__ends, "_ends");
     INTERN(str__ends_sorted, "_ends_sorted");
-    INTERN(str_insert, "insert");
-    INTERN(str_append, "append");
+    INTERN(str_frombytes, "frombytes");
     INTERN(str_src, "src");
     INTERN(str_dst, "dst");
     INTERN(str_start, "start");

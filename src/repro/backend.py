@@ -1,21 +1,22 @@
 """The one kernel-backend switch, ``REPRO_KERNEL``, read only here.
 
-The Sunflow planner has a compiled twin in :mod:`repro._native`; the two
-are bitwise identical, so the backend changes speed, never results.  The
-switch picks only the planner: the baseline schedulers and the packet
-simulator always run their numpy kernels (:mod:`repro.kernels`), whose
-pure-Python twins are test oracles.
+The Sunflow planner and the shortest-first ordering scan
+(``CoflowView.bottleneck``) have compiled twins in :mod:`repro._native`;
+each pair is bitwise identical, so the backend changes speed, never
+results.  The switch picks only those two: the baseline schedulers and
+the packet simulator always run their numpy kernels
+(:mod:`repro.kernels`), whose pure-Python twins are test oracles.
 
 =============  ========================================================
 unset/empty    ``native`` if the extension is built, else ``python``
-``native``     the extension; without it, the Python planner and one
+``native``     the extension; without it, the Python loops and one
                :class:`RuntimeWarning` per process
-``python``     the pure-Python planner
+``python``     the pure-Python planner and scan
 other          :class:`ValueError` naming the accepted values
 =============  ========================================================
 
 The extension is accepted only when its ``LAYOUT_VERSION`` equals
-:data:`repro.core.prt.PRT_LAYOUT_VERSION` and it exports the
+:data:`repro.core.prt.PRT_LAYOUT_VERSION` and it exports every
 :data:`ENTRY_POINTS` function.  Resolution is memoized on the raw
 environment string: a dispatch costs one dict lookup, and
 :func:`use_backend` still flips the backend between calls.  This module
@@ -36,9 +37,9 @@ ENV = "REPRO_KERNEL"
 #: Accepted values besides unset/empty.
 BACKENDS = ("python", "native")
 
-#: The compiled extension's one planner function; a build without it is
-#: not used at all.
-ENTRY_POINTS = ("schedule_demand_packed",)
+#: The compiled extension's planner and ordering-scan functions; a build
+#: without either is not used at all.
+ENTRY_POINTS = ("schedule_many_packed", "port_bottleneck")
 
 #: Raw ``os.environ.get(ENV)`` -> (backend name, extension or None).
 _resolved: Dict[Optional[str], Tuple[str, Optional[ModuleType]]] = {}

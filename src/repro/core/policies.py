@@ -18,6 +18,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.backend import native_module
+from repro.core.demand import PackedDemand
+
+#: Mapping types the compiled scan reads: neither overrides iteration, so
+#: its sums accumulate in the same order as the loop below.
+_SCANNED_TYPES = (dict, PackedDemand)
+
 
 @dataclass
 class CoflowView:
@@ -49,11 +56,20 @@ class CoflowView:
         hint = self.bottleneck_hint
         if hint is not None:
             return hint
+        remaining = self.remaining_times
+        if type(remaining) in _SCANNED_TYPES:
+            native = native_module()
+            if native is not None:
+                # The compiled twin of the loop below; None when a key or
+                # value is not an exact (int, int) -> float.
+                load = native.port_bottleneck(remaining)
+                if load is not None:
+                    return load
         # One defaultdict over both port spaces (input ``p`` → ``2p``,
         # output ``p`` → ``2p + 1``): this property runs on every view at
         # every replan.
         loads: Dict[int, float] = defaultdict(float)
-        for (src, dst), p in self.remaining_times.items():
+        for (src, dst), p in remaining.items():
             if p > 0:
                 loads[src * 2] += p
                 loads[dst * 2 + 1] += p

@@ -46,9 +46,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 TIME_EPS = 1e-9
 
 #: Version of the storage layout documented above, as consumed by the
-#: optional compiled planner (``src/repro/_native.c`` reads the per-port
-#: ``array('d')``/``array('q')`` buffers directly through the buffer
-#: protocol).  Bump this whenever the struct-of-arrays contract changes —
+#: optional compiled planner (``src/repro/_native.c`` copies the per-port
+#: ``array('d')``/``array('q')`` buffers in through the buffer protocol
+#: and writes them back with ``frombytes``).  Bump this whenever the struct-of-arrays contract changes —
 #: boundary interleaving, typecodes, the ``__slots__`` names, or the
 #: journal/``_ends``/``_ends_sorted`` bookkeeping — so a stale extension
 #: build is refused (:mod:`repro.backend` treats it as absent and the

@@ -13,6 +13,7 @@ command latency and in-flight accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.coflow import Coflow
@@ -58,7 +59,8 @@ class InterCoflowPlanner:
     Args:
         scheduler: the Algorithm 1 planner.  Its ``perf`` sink is pointed
             at :attr:`perf`, so the ``plan.pack`` / ``plan.kernel``
-            sub-timers land next to this planner's counters.
+            sub-timers land next to this planner's ``plan.order`` timer
+            and counters.
         policy: inter-Coflow priority policy (shortest-Coflow-first by
             default, as in the paper's evaluation).
         guard: optional starvation guard; its ``τ`` slices are reserved in
@@ -97,7 +99,10 @@ class InterCoflowPlanner:
         starting at ``now``, each one's established circuits continued
         without a new ``δ``.
         """
+        perf = self.perf
+        t0 = perf_counter()
         ordered = self._ordered_ids(active)
+        perf.add_time("plan.order", perf_counter() - t0)
         demands = [(cid, active[cid].remaining) for cid in ordered]
         established = {cid: state.established for cid, state in active.items()}
 
@@ -118,7 +123,6 @@ class InterCoflowPlanner:
             # Plan ran past the reserved guard region; extend and retry so
             # no plan escapes the guard's periodic blackouts.
             horizon = latest + 2 * guard.max_service_gap
-        perf = self.perf
         perf.inc("plans_computed", len(schedules))
         perf.inc(
             "reservations_made",

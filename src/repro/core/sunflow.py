@@ -323,63 +323,62 @@ class SunflowScheduler:
         Returns:
             The reservations planned for this Coflow.
         """
-        established = _normalize_established(established)
         schedule = CoflowSchedule(coflow_id=coflow_id, start_time=start_time)
+        self._plan_batch(
+            prt,
+            start_time,
+            [(coflow_id, demand_times, established, schedule.reservations)],
+        )
+        return schedule
+
+    def _plan_batch(
+        self,
+        prt: PortReservationTable,
+        start_time: float,
+        batch: Sequence[
+            Tuple[int, Mapping[Tuple[int, int], float], EstablishedCircuits, List[Reservation]]
+        ],
+    ) -> None:
+        """Plan ``(coflow_id, demand_times, established, out_reservations)``
+        items in priority order on ``prt``, appending each Coflow's
+        reservations to its ``out_reservations``.
+
+        Every item is packed before the first reservation, so a malformed
+        demand raises with the table untouched.  The compiled kernel then
+        plans the whole batch in one call; the Python loop plans it item
+        by item.
+        """
         perf = self.perf
         native = native_module()
+        t0 = perf_counter()
         if native is not None:
-            # Compiled twin of ``_plan_python``: the same event loop with
-            # verbatim float expressions, mutating the same PRT arrays in
-            # place through the buffer protocol.  Its one entry reads the
-            # demand as columns in consideration order.
-            if (
-                isinstance(demand_times, PackedDemand)
-                and demand_times.packed_ok
-                and self.order is ReservationOrder.ORDERED_PORT
-                and self.quantum is None
-            ):
-                # Sorted once at admission: no per-plan packing at all.
-                srcs, dsts, vals = demand_times.columns
-            else:
-                t0 = perf_counter()
-                srcs, dsts, vals = self._columns(demand_times)
-                if perf is not None:
-                    perf.add_time("plan.pack", perf_counter() - t0)
-            t0 = perf_counter()
-            native.schedule_demand_packed(
-                prt,
-                Reservation,
-                coflow_id,
-                start_time,
-                self.delta,
-                TIME_EPS,
-                srcs,
-                dsts,
-                vals,
-                established if established else None,
-                schedule.reservations,
+            packed = []
+            for coflow_id, demand_times, established, out in batch:
+                established = _normalize_established(established)
+                packed.append(
+                    (coflow_id, *self._columns(demand_times), established or None, out)
+                )
+            t1 = perf_counter()
+            native.schedule_many_packed(
+                prt, Reservation, start_time, self.delta, TIME_EPS, packed
             )
-            if perf is not None:
-                perf.add_time("plan.kernel", perf_counter() - t0)
         else:
-            t0 = perf_counter()
-            entries = self._make_entries(demand_times)
-            if perf is not None:
-                perf.add_time("plan.pack", perf_counter() - t0)
-            if not entries:
-                return schedule
-            t0 = perf_counter()
-            self._plan_python(
-                prt,
-                coflow_id,
-                entries,
-                start_time,
-                established,
-                schedule.reservations,
-            )
-            if perf is not None:
-                perf.add_time("plan.kernel", perf_counter() - t0)
-        return schedule
+            packed = [
+                (
+                    coflow_id,
+                    self._make_entries(demand_times),
+                    _normalize_established(established),
+                    out,
+                )
+                for coflow_id, demand_times, established, out in batch
+            ]
+            t1 = perf_counter()
+            for coflow_id, entries, established, out in packed:
+                if entries:
+                    self._plan_python(prt, coflow_id, entries, start_time, established, out)
+        if perf is not None:
+            perf.add_time("plan.pack", t1 - t0)
+            perf.add_time("plan.kernel", perf_counter() - t1)
 
     def _plan_python(
         self,
@@ -771,6 +770,10 @@ class SunflowScheduler:
     ) -> Tuple[PortReservationTable, Dict[int, CoflowSchedule]]:
         """Schedule several Coflows, highest priority first, on one PRT.
 
+        Algorithm 1's InterCoflow loop: each Coflow claims only the port
+        time the ones before it left free.  The compiled kernel plans the
+        whole list in one call.
+
         Args:
             demands: ``(coflow_id, demand_times)`` pairs in priority order.
             start_time: common scheduling origin.
@@ -786,14 +789,20 @@ class SunflowScheduler:
         if established is None:
             established = {}
         schedules: Dict[int, CoflowSchedule] = {}
+        batch = []
         for coflow_id, demand_times in demands:
-            schedules[coflow_id] = self.schedule_demand(
-                prt,
-                coflow_id,
-                demand_times,
-                start_time=start_time,
-                established=established.get(coflow_id, frozenset()),
+            schedule = schedules[coflow_id] = CoflowSchedule(
+                coflow_id=coflow_id, start_time=start_time
             )
+            batch.append(
+                (
+                    coflow_id,
+                    demand_times,
+                    established.get(coflow_id, frozenset()),
+                    schedule.reservations,
+                )
+            )
+        self._plan_batch(prt, start_time, batch)
         return prt, schedules
 
     def schedule_coflows(
@@ -823,6 +832,9 @@ class SunflowScheduler:
         """``(srcs, dsts, vals)`` columns in consideration order for the
         compiled kernel, which skips entries at or below ``TIME_EPS``."""
         if self.order is ReservationOrder.ORDERED_PORT and self.quantum is None:
+            if isinstance(demand_times, PackedDemand) and demand_times.packed_ok:
+                # Sorted once at admission: no per-plan packing at all.
+                return demand_times.columns
             # The sorted keys are the consideration order: no ``_Entry``
             # objects needed.
             keys = sorted(demand_times)

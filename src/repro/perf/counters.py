@@ -16,11 +16,11 @@ from contextlib import contextmanager
 from typing import Dict, Iterator
 
 #: The planner phase timers every instrumented run reports.
-#: ``plan.pack`` (demand → planner entries) and ``plan.kernel``
-#: (Algorithm 1 proper) split the planner's share of the ``plan`` timer;
-#: the bench smoke checks assert their presence so a refactor cannot
-#: silently drop the instrumentation.
-PLAN_SUBTIMERS = ("plan.pack", "plan.kernel")
+#: ``plan.order`` (the policy's priority order), ``plan.pack`` (demand →
+#: planner entries) and ``plan.kernel`` (Algorithm 1 proper) split the
+#: planner's share of the ``plan`` timer; the bench smoke checks assert
+#: their presence so a refactor cannot silently drop the instrumentation.
+PLAN_SUBTIMERS = ("plan.order", "plan.pack", "plan.kernel")
 
 #: Process-wide accumulation of every :meth:`PerfCounters.add_time` call,
 #: keyed by timer name.  Commands that bury their counter instance inside

@@ -182,8 +182,8 @@ def simulate_inter_sunflow_stream(
     Returns:
         :class:`StreamingResult` with the report, the number of events
         processed, and the run's perf counters (including
-        ``sketch_merges``, the ``plan.pack``/``plan.kernel`` sub-timers,
-        and a ``peak_rss_bytes`` high-water mark).  The simulator's
+        ``sketch_merges``, the ``plan.order``/``plan.pack``/``plan.kernel``
+        sub-timers, and a ``peak_rss_bytes`` high-water mark).  The simulator's
         per-Coflow demand state rides the same
         :class:`~repro.core.demand.PackedDemand` columns as the in-memory
         engine, so the streaming path shares the packed planner fast path

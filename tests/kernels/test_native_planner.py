@@ -14,12 +14,19 @@ Covered surfaces:
   established-circuit continuations (setup remainders + anchors);
 * the RANDOM reservation-order bypass (same-seeded rng streams must
   stay synchronized across backends) and SORTED_DEMAND + quantum;
-* multi-coflow ``schedule_many`` sequences sharing one PRT;
-* the kernel's one entry, ``schedule_demand_packed``, on a
-  ``PackedDemand``'s own columns vs columns built per plan from a plain
-  mapping and vs the Python loop, including in-place value patches, a
-  key added after packing, a demand that filters down to nothing, and
-  quantized demand rounded to zero;
+* ``schedule_many`` batches of two to six Coflows with established
+  continuations on a table pre-filled by blockers, at δ ∈ {0, 1 ms,
+  10 ms}: the kernel's ``schedule_many_packed`` plans each batch in one
+  call and writes the table back once;
+* the same entry on a ``PackedDemand``'s own columns vs columns built per
+  plan from a plain mapping and vs the Python loop, including in-place
+  value patches, a key added after packing, a demand that filters down
+  to nothing, and quantized demand rounded to zero;
+* malformed batches, which must raise before the table is touched, and
+  an error mid-plan, which must leave what was planned;
+* the compiled ordering scan, ``port_bottleneck``, against
+  ``CoflowView.bottleneck``'s Python loop, including every input it
+  declines;
 * end-to-end Fig-6/Fig-10 API cells (intra and inter Sunflow replays)
   and the K-core fabric at K ∈ {2, 4};
 * the backend resolver's contract: native by default when built; without
@@ -30,14 +37,18 @@ Covered surfaces:
 from __future__ import annotations
 
 import random
+import types
 import warnings
+from array import array
+from collections import namedtuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.demand import PackedDemand
-from repro.core.prt import TIME_EPS, PortReservationTable
+from repro.core.policies import CoflowView
+from repro.core.prt import TIME_EPS, PortReservationTable, Reservation
 from repro.core.sunflow import (
     ReservationOrder,
     SunflowScheduler,
@@ -79,12 +90,19 @@ def _reservation_keys(schedule):
 
 
 def _prt_state(prt):
-    """The PRT's full boundary state, bitwise (arrays compare exactly)."""
+    """The PRT's full state, bitwise: the boundary and ref arrays (which
+    compare exactly), the journal's reservations in order, and ``_ends``
+    as hex — the kernel writes all of them back once per call."""
     return (
         {k: v.tolist() for k, v in prt._in_bounds.items()},
         {k: v.tolist() for k, v in prt._out_bounds.items()},
         {k: v.tolist() for k, v in prt._in_refs.items()},
         {k: v.tolist() for k, v in prt._out_refs.items()},
+        [
+            (r.src, r.dst, r.coflow_id, r.start.hex(), r.end.hex(), r.setup.hex())
+            for r in prt._reservations
+        ],
+        [end.hex() for end in prt._ends],
     )
 
 
@@ -171,21 +189,42 @@ class TestDifferentialFuzz:
 
     @_FUZZ
     @given(
-        demands=st.lists(st.tuples(_PAIR, _SECONDS), min_size=2, max_size=20),
+        data=st.data(),
+        coflows=st.lists(_DEMAND, min_size=2, max_size=6),
+        blockers=_BLOCKERS,
+        delta=st.sampled_from([0.0, 0.001, 0.01]),
         start=st.floats(0.0, 1.0),
     )
-    def test_schedule_many_sequence(self, demands, start):
-        """Several coflows planned back-to-back on one shared PRT."""
-        split = max(1, len(demands) // 2)
-        coflows = [
-            (1, dict(demands[:split])),
-            (2, dict(demands[split:]) or {(0, 1): 0.5}),
-        ]
+    def test_schedule_many_sequence(self, data, coflows, blockers, delta, start):
+        """Two to six Coflows planned as one batch — one kernel call — on
+        a table pre-filled by blockers, each with established
+        continuations (some anchored within ``TIME_EPS`` of where the plan
+        ends, so the anchor snap runs)."""
+        established = {}
+        for cid, demand in enumerate(coflows, start=1):
+            circuits = data.draw(
+                st.lists(st.sampled_from(sorted(demand)), unique=True, max_size=4)
+            )
+            established[cid] = {}
+            for circuit in circuits:
+                setup_left, anchor = data.draw(_ESTABLISHED_VALUE)
+                if data.draw(st.booleans()):
+                    setup = min(setup_left, delta)
+                    anchor = start + (setup + demand[circuit]) + TIME_EPS / 2
+                established[cid][circuit] = (setup_left, anchor)
         results = []
         for backend in ("python", "native"):
+            # Odd ids plan from PackedDemand columns, even ids from dicts.
+            demands = [
+                (cid, PackedDemand(demand) if cid % 2 else dict(demand))
+                for cid, demand in enumerate(coflows, start=1)
+            ]
             with use_backend(backend):
-                prt, schedules = SunflowScheduler().schedule_many(
-                    coflows, start_time=start
+                prt = PortReservationTable()
+                if blockers:
+                    SunflowScheduler(delta=delta).schedule_demand(prt, "blk", blockers)
+                _, schedules = SunflowScheduler(delta=delta).schedule_many(
+                    demands, start_time=start, prt=prt, established=established
                 )
             results.append(
                 (
@@ -387,6 +426,225 @@ class TestScheduleDemandPacked:
         assert [r[:2] for r in outcomes[0][0]] == [(1, 2), (2, 0)]
 
 
+def _good_item(coflow_id, out):
+    """A well-formed batch item: two circuits, no established ones."""
+    return (coflow_id, array("q", [0, 1]), array("q", [1, 2]), array("d", [0.5, 0.7]), None, out)
+
+
+def _blocked_table():
+    prt = PortReservationTable()
+    SunflowScheduler().schedule_demand(prt, "blk", {(0, 1): 0.25, (1, 0): 0.4})
+    return prt
+
+
+@needs_native
+class TestMalformedBatch:
+    """A malformed batch raises ``TypeError`` before the first reservation:
+    the bad item comes last, after two good ones, and the table and every
+    output list are left exactly as they were."""
+
+    @pytest.mark.parametrize(
+        "bad_item, as_tuple",
+        [
+            pytest.param(None, True, id="batch-not-a-list"),
+            pytest.param(
+                (3, array("q", [0]), array("q", [1]), array("d", [1.0]), None),
+                False,
+                id="wrong-arity",
+            ),
+            pytest.param(
+                (3, array("q", [0, 2, 3]), array("q", [1, 2]), array("d", [1.0, 2.0, 3.0]), None, []),
+                False,
+                id="unequal-columns",
+            ),
+            pytest.param(
+                (3, array("q", [0]), array("q", [1]), array("d", [1.0]), [((0, 1), (0.0, None))], []),
+                False,
+                id="established-not-a-dict",
+            ),
+            pytest.param(
+                (3, array("q", [0]), array("q", [1]), array("d", [1.0]), {(0, 1): 0.005}, []),
+                False,
+                id="established-value-not-a-pair",
+            ),
+        ],
+    )
+    def test_fails_before_any_write(self, bad_item, as_tuple):
+        from repro import _native
+
+        prt = _blocked_table()
+        before = _bitwise_state(prt)
+        outs = [[], [], []]
+        batch = [_good_item(1, outs[0]), _good_item(2, outs[1])]
+        if bad_item is None:
+            batch.append(_good_item(3, outs[2]))
+        else:
+            batch.append(bad_item)
+        if as_tuple:
+            batch = tuple(batch)
+        with pytest.raises(TypeError):
+            _native.schedule_many_packed(prt, Reservation, 0.0, 0.01, TIME_EPS, batch)
+        assert _bitwise_state(prt) == before
+        assert outs == [[], [], []]
+
+    def test_planning_error_writes_back_what_was_planned(self):
+        """An error mid-plan still writes the table back: it then holds
+        exactly the reservations made before the error, as if each had
+        been written as it was made."""
+        from repro import _native
+
+        class Flaky(Reservation):
+            __slots__ = ()
+            made = 0
+
+            def __new__(cls, *args, **kwargs):
+                if Flaky.made == 3:
+                    raise RuntimeError("boom")
+                Flaky.made += 1
+                return object.__new__(cls)
+
+        prt = _blocked_table()
+        outs = [[], []]
+        batch = [_good_item(1, outs[0]), _good_item(2, outs[1])]
+        with pytest.raises(RuntimeError, match="boom"):
+            _native.schedule_many_packed(prt, Flaky, 0.0, 0.01, TIME_EPS, batch)
+        made = outs[0] + outs[1]
+        assert len(made) == 3 and len(outs[0]) == 2
+
+        expected = _blocked_table()
+        for r in made:
+            expected.reserve(r.src, r.dst, r.start, r.end, r.coflow_id, r.setup)
+        assert _bitwise_state(prt) == _bitwise_state(expected)
+        assert prt._ends_sorted is None
+
+        # The same two plans, uninterrupted, start with those reservations.
+        full = [[], []]
+        _native.schedule_many_packed(
+            _blocked_table(),
+            Reservation,
+            0.0,
+            0.01,
+            TIME_EPS,
+            [_good_item(1, full[0]), _good_item(2, full[1])],
+        )
+        assert [_res_hex(r) for r in made] == [_res_hex(r) for r in (full[0] + full[1])[:3]]
+
+
+def _bottleneck(backend, remaining):
+    with use_backend(backend):
+        view = CoflowView(coflow_id=0, arrival_time=0.0, remaining_times=remaining)
+        return view.bottleneck
+
+
+def _exact(value):
+    """Bitwise projection of a bottleneck (an int sum stays an int)."""
+    return value.hex() if type(value) is float else (type(value).__name__, value)
+
+
+#: Few ports, so many circuits share one and summation order matters.
+_SCAN_PORT = st.one_of(st.integers(0, 5), st.integers(0, 2**40))
+_SCAN_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(max_value=-1e-300),  # negatives
+    st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormals
+    st.floats(min_value=1e-9, max_value=8.0),
+    st.floats(min_value=1e300),  # large: sums may overflow to inf
+    st.floats(),  # anything, NaN and infinities included
+)
+
+
+class _ReversedItems(dict):
+    """A dict subclass that iterates its items backwards."""
+
+    def items(self):
+        return reversed(list(dict.items(self)))
+
+
+Circuit = namedtuple("Circuit", "src dst")
+
+
+class _Seconds(float):
+    pass
+
+
+@needs_native
+class TestPortBottleneck:
+    """``CoflowView.bottleneck`` under the native backend (the compiled
+    scan) against the Python loop, compared as ``float.hex()``."""
+
+    @_FUZZ
+    @given(
+        data=st.data(),
+        items=st.lists(
+            st.tuples(st.tuples(_SCAN_PORT, _SCAN_PORT), _SCAN_VALUE),
+            max_size=40,
+            unique_by=lambda item: item[0],
+        ),
+    )
+    def test_shuffled_dicts(self, data, items):
+        remaining = dict(data.draw(st.permutations(items)))
+        native = _bottleneck("native", remaining)
+        assert _exact(native) == _exact(_bottleneck("python", remaining))
+
+    @_FUZZ
+    @given(
+        data=st.data(),
+        demand=st.dictionaries(st.tuples(_SCAN_PORT, _SCAN_PORT), _SCAN_VALUE, min_size=1, max_size=30),
+    )
+    def test_packed_demand_after_value_writes(self, data, demand):
+        packed = PackedDemand(demand)
+        for key in data.draw(st.lists(st.sampled_from(sorted(demand)), max_size=10)):
+            packed[key] = data.draw(_SCAN_VALUE)
+        assert packed.packed_ok
+        native = _bottleneck("native", packed)
+        assert _exact(native) == _exact(_bottleneck("python", packed))
+        assert _exact(native) == _exact(_bottleneck("python", dict(packed)))
+
+    def test_summation_order_is_the_dicts(self):
+        # Port 0 (input) sums 1e16 + 1 + 1: the order decides the rounding.
+        forward = {(0, 1): 1e16, (0, 2): 1.0, (0, 3): 1.0}
+        backward = dict(reversed(list(forward.items())))
+        assert _bottleneck("python", forward) != _bottleneck("python", backward)
+        for remaining in (forward, backward):
+            assert _exact(_bottleneck("native", remaining)) == _exact(
+                _bottleneck("python", remaining)
+            )
+
+    @pytest.mark.parametrize(
+        "remaining",
+        [
+            pytest.param({(0, 1): 2, (1, 2): 1.5}, id="int-value"),
+            pytest.param({(0, 1): 1.0, (1, 2): _Seconds(1.5)}, id="float-subclass-value"),
+            pytest.param({(True, 1): 1.0, (1, 1): 0.5}, id="bool-port"),
+            pytest.param({(-1, 2): 1.0, (0, 2): 0.5}, id="negative-port"),
+            pytest.param({(2**63, 1): 1.0}, id="port-past-int64"),
+            pytest.param({Circuit(0, 1): 1.0, Circuit(0, 2): 0.25}, id="non-tuple-key"),
+            pytest.param(
+                types.MappingProxyType({(0, 1): 1.0, (0, 2): 0.5}), id="non-dict-mapping"
+            ),
+        ],
+    )
+    def test_declined_inputs_run_the_python_loop(self, remaining):
+        from repro import _native
+
+        assert _native.port_bottleneck(remaining) is None
+        assert _exact(_bottleneck("native", remaining)) == _exact(
+            _bottleneck("python", remaining)
+        )
+
+    def test_dict_subclass_overriding_items_is_not_scanned(self):
+        """Its iteration order is not the storage order the scan reads, so
+        the view never hands it over: the answer is the overridden
+        ``items()`` order's, as in the Python loop."""
+        remaining = _ReversedItems({(0, 1): 1e16, (0, 2): 1.0, (0, 3): 1.0})
+        plain = dict(remaining)
+        reversed_plain = dict(reversed(list(plain.items())))
+        native = _bottleneck("native", remaining)
+        assert _exact(native) == _exact(_bottleneck("python", remaining))
+        assert _exact(native) == _exact(_bottleneck("python", reversed_plain))
+        assert _exact(native) != _exact(_bottleneck("python", plain))
+
+
 def _plan_two(demand):
     """Plan two Coflows on one table; returns the reservations and the
     table state, bitwise."""
@@ -477,7 +735,7 @@ class TestFallback:
 
         assert _native.LAYOUT_VERSION == PRT_LAYOUT_VERSION
 
-    def test_extension_exports_one_entry_point(self):
+    def test_extension_exports_exactly_the_entry_points(self):
         if not native_planner_available():
             pytest.skip("repro._native is not built")
         from repro import _native
@@ -488,4 +746,4 @@ class TestFallback:
             for name in dir(_native)
             if not name.startswith("_") and callable(getattr(_native, name))
         }
-        assert public == set(ENTRY_POINTS) == {"schedule_demand_packed"}
+        assert public == set(ENTRY_POINTS) == {"schedule_many_packed", "port_bottleneck"}

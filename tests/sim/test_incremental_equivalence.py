@@ -197,4 +197,4 @@ def test_replay_smoke_benchmark():
     assert result["events"] > 0
     assert result["wall_s"] > 0
     assert result["records_sha256"] == SMOKE_BENCH_DIGEST
-    assert set(result["plan_phases_s"]) == {"plan.pack", "plan.kernel"}
+    assert set(result["plan_phases_s"]) == {"plan.order", "plan.pack", "plan.kernel"}
