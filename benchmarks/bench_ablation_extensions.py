@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.core.prt import PortReservationTable
+from repro.core.sunflow import SunflowScheduler
 from repro.sim import (
     HybridConfig,
     mean,
@@ -33,14 +34,19 @@ from conftest import BANDWIDTH, DELTA
 def test_ablation_quantization(benchmark):
     """Quantization speeds up the *literal* Algorithm 1 (the paper's
     suggestion: coincident release times prune the rescan loop); the
-    event-driven rewrite in this library already gets that speedup without
-    the CCT cost, so both are measured on a dense 30×30 Coflow."""
+    event-driven planner in this library is faster than the literal loop
+    without any approximation, so both are measured on a dense 30×30
+    Coflow.  The quantum lives on the literal-loop oracle, and the CCT
+    cost is that of the literal schedule."""
     import random
 
     rng = random.Random(1)
     demand = {(i, j): rng.uniform(0.05, 2.0) for i in range(30) for j in range(30)}
 
     def compute():
+        start = time.perf_counter()
+        SunflowScheduler(delta=DELTA).schedule_demand(PortReservationTable(), 1, dict(demand))
+        fast_time = time.perf_counter() - start
         rows = []
         for quantum in (None, 100 * MS, 500 * MS):
             scheduler = ReferenceSunflowScheduler(delta=DELTA, quantum=quantum)
@@ -49,24 +55,21 @@ def test_ablation_quantization(benchmark):
                 PortReservationTable(), 1, dict(demand)
             )
             literal_time = time.perf_counter() - start
-            start = time.perf_counter()
-            fast = scheduler.schedule_demand(PortReservationTable(), 1, dict(demand))
-            fast_time = time.perf_counter() - start
-            rows.append((quantum, literal_time, fast_time, fast.makespan))
-        return rows
+            rows.append((quantum, literal_time, literal.makespan))
+        return fast_time, rows
 
-    rows = run_once(benchmark, compute)
-    exact_literal, exact_cct = rows[0][1], rows[0][3]
+    fast_time, rows = run_once(benchmark, compute)
+    exact_literal, exact_cct = rows[0][1], rows[0][2]
 
     header("§6 ablation: quantized scheduling (dense 900-flow Coflow)")
-    emit(f"{'quantum':>9} {'literal alg.1':>14} {'speedup':>8} "
-         f"{'event-driven':>13} {'CCT cost':>9}")
-    for quantum, literal_time, fast_time, makespan in rows:
+    emit(f"{'quantum':>9} {'literal alg.1':>14} {'speedup':>8} {'CCT cost':>9}")
+    for quantum, literal_time, makespan in rows:
         label = "exact" if quantum is None else f"{quantum * 1000:.0f}ms"
         emit(
             f"{label:>9} {literal_time:>13.3f}s {exact_literal / literal_time:>7.1f}x "
-            f"{fast_time:>12.3f}s {makespan / exact_cct:>8.3f}x"
+            f"{makespan / exact_cct:>8.3f}x"
         )
+    emit(f"event-driven Algorithm 1, exact: {fast_time:.3f}s")
     emit()
     emit("coarser grids prune the literal loop's release events; the")
     emit("event-driven scheduler needs no approximation to stay fast.")
@@ -74,9 +77,9 @@ def test_ablation_quantization(benchmark):
     # Quantization accelerates the literal transcription and can only
     # lengthen the schedule.
     assert rows[-1][1] < exact_literal
-    assert all(makespan >= exact_cct - 1e-9 for _, _, _, makespan in rows)
+    assert all(makespan >= exact_cct - 1e-9 for _, _, makespan in rows)
     # The event-driven planner beats the literal loop even unquantized.
-    assert rows[0][2] < rows[0][1]
+    assert fast_time < exact_literal
 
 
 def test_ablation_hybrid_offload(benchmark, trace, sunflow_intra_1g):

@@ -44,18 +44,10 @@ class CoflowView:
     arrival_time: float
     remaining_times: Dict[Tuple[int, int], float] = field(default_factory=dict)
     priority_class: int = 0
-    #: Precomputed bottleneck, when the caller already knows it.  The
-    #: inter-Coflow simulator memoizes the value per active Coflow (demand
-    #: only changes when a circuit is drained), so each replan's ordering
-    #: pass skips the per-view load scan.
-    bottleneck_hint: Optional[float] = None
 
     @property
     def bottleneck(self) -> float:
         """Remaining ``T^p_L``: the busiest port's remaining seconds of work."""
-        hint = self.bottleneck_hint
-        if hint is not None:
-            return hint
         remaining = self.remaining_times
         if type(remaining) in _SCANNED_TYPES:
             native = native_module()

@@ -27,8 +27,8 @@ The hot queries (:meth:`input_covering_end`, :meth:`next_reserved_time`,
 :meth:`release_of_block`, :meth:`release_events_for_input`) therefore
 compare raw doubles without touching a :class:`Reservation`;  full objects
 are materialized from the journal only for the plan-facing API
-(:meth:`reserve` returns the object recorded in a Coflow's plan,
-:meth:`reservations_for_input` and friends rebuild views on demand).
+(:meth:`reserve` returns the object recorded in a Coflow's plan, and
+iteration walks the journal).
 
 The pre-array implementation is a test oracle
 (``ReferencePortReservationTable`` in ``tests/oracles/prt_reference.py``)
@@ -132,7 +132,8 @@ class PortReservationTable:
     :meth:`replay` re-inserts a batch atomically.  The global release-time
     column is kept in journal order (append on insert, slice-truncate on
     rollback) and sorted lazily only when :meth:`next_release_after`
-    needs it.
+    needs it.  No runtime path calls the transactions; the repository
+    benchmark's traced pass wraps them.
     """
 
     __slots__ = (
@@ -175,61 +176,17 @@ class PortReservationTable:
     def __iter__(self) -> Iterator[Reservation]:
         return iter(self._reservations)
 
-    _EMPTY: Tuple[Reservation, ...] = ()
-
-    def _port_view(self, refs: Optional[array]) -> Sequence[Reservation]:
-        if not refs:
-            return self._EMPTY
-        journal = self._reservations
-        return tuple(journal[i] for i in refs)
-
-    def reservations_for_input(self, port: int) -> Sequence[Reservation]:
-        """Reservations on input ``port``, sorted by start.
-
-        Materialized from the journal on demand (a fresh tuple per call):
-        cheap enough for analysis/validation paths, but not for hot loops —
-        those use the scalar queries below.
-        """
-        return self._port_view(self._in_refs.get(port))
-
-    def reservations_for_output(self, port: int) -> Sequence[Reservation]:
-        """Reservations on output ``port``, sorted by start (materialized)."""
-        return self._port_view(self._out_refs.get(port))
-
-    def _releases_after(
-        self, bounds: Optional[array], refs: Optional[array], t: float
-    ) -> Iterator[Reservation]:
-        """Reservations on one port whose end lies after ``t``.
-
-        One bisect lands directly on the first candidate: per-port
-        reservations are non-overlapping, so sorted-by-start is also
-        sorted-by-end, and ``bisect_right`` over the interleaved boundary
-        array already skips the released prefix — no clamp, no linear scan.
-        """
-        if not bounds:
-            return
-        journal = self._reservations
-        for i in refs[bisect_right(bounds, t + TIME_EPS) >> 1 :]:
-            yield journal[i]
-
-    def input_releases_after(self, port: int, t: float) -> Iterator[Reservation]:
-        return self._releases_after(
-            self._in_bounds.get(port), self._in_refs.get(port), t
-        )
-
-    def output_releases_after(self, port: int, t: float) -> Iterator[Reservation]:
-        return self._releases_after(
-            self._out_bounds.get(port), self._out_refs.get(port), t
-        )
-
     def release_events_for_input(
         self, port: int, t: float
     ) -> List[Tuple[float, int, int]]:
         """``(end, src, dst)`` for input-port reservations ending after ``t``.
 
-        The scalar twin of :meth:`input_releases_after`, shaped for the
-        scheduler's release-event heap: ends come straight from the
-        boundary array and only the peer port is read off the journal.
+        Shaped for the scheduler's release-event heap.  One bisect lands
+        on the first candidate: per-port reservations never overlap, so
+        sorted-by-start is also sorted-by-end, and ``bisect_right`` over
+        the interleaved boundary array skips the released prefix.  Ends
+        come straight from the boundary array and only the peer port is
+        read off the journal.
         """
         bounds = self._in_bounds.get(port)
         if not bounds:
@@ -469,138 +426,20 @@ class PortReservationTable:
 
     def replay(self, reservations: Sequence[Reservation]) -> None:
         """Re-insert already-validated reservations (e.g. a plan undone by
-        a :meth:`rollback`).  Overlap checks still apply, so a stale plan
-        that no longer fits raises :class:`PortConflictError` instead of
-        corrupting the table.
+        a :meth:`rollback`) in order.  Overlap checks still apply, so a
+        stale plan that no longer fits raises :class:`PortConflictError`
+        instead of corrupting the table.
 
-        The call is *atomic*: every port is validated (against existing
-        reservations and the other replayed ones) before anything is
-        written, so a conflicting batch leaves the table untouched.
-        Insertion is batched per port — the replayed items are merged
-        into each boundary array in one pass instead of paying a bisect
-        plus three mid-array inserts per reservation.
+        The call is *atomic*: on a conflict every reservation it inserted
+        is rolled back before the error propagates.
         """
-        n = len(reservations)
-        if n == 0:
-            return
-        if n == 1:
-            self._insert(reservations[0])
-            return
-        base = len(self._reservations)
-        in_groups: Dict[int, List[Tuple[float, float, int]]] = {}
-        out_groups: Dict[int, List[Tuple[float, float, int]]] = {}
-        for offset, reservation in enumerate(reservations):
-            item = (reservation.start, reservation.end, base + offset)
-            group = in_groups.get(reservation.src)
-            if group is None:
-                in_groups[reservation.src] = [item]
-            else:
-                group.append(item)
-            group = out_groups.get(reservation.dst)
-            if group is None:
-                out_groups[reservation.dst] = [item]
-            else:
-                group.append(item)
-        staged: List[Tuple[Dict[int, array], Dict[int, array], int, array, array, bool]] = []
-        eps = TIME_EPS
-        neg_inf = float("-inf")
-        for table_b, table_r, groups in (
-            (self._in_bounds, self._in_refs, in_groups),
-            (self._out_bounds, self._out_refs, out_groups),
-        ):
-            for port, items in groups.items():
-                if len(items) > 1:
-                    items.sort()
-                bounds = table_b.get(port)
-                if not bounds or bounds[-1] <= items[0][0] + eps:
-                    # Pure tail append: only the new items need checks
-                    # against each other.
-                    new_bounds = array("d")
-                    new_refs = array("q")
-                    prev_end = neg_inf
-                    prev_ref = -1
-                    for start, end, ref in items:
-                        if prev_end > start + eps:
-                            self._replay_conflict(
-                                reservations, base, ref, prev_ref
-                            )
-                        new_bounds.append(start)
-                        new_bounds.append(end)
-                        new_refs.append(ref)
-                        prev_end = end
-                        prev_ref = ref
-                    staged.append((table_b, table_r, port, new_bounds, new_refs, True))
-                    continue
-                refs = table_r[port]
-                n_exist = len(refs)
-                n_new = len(items)
-                merged_bounds = array("d")
-                merged_refs = array("q")
-                i = 0
-                k = 0
-                prev_end = neg_inf
-                prev_ref = -1
-                while i < n_exist or k < n_new:
-                    # Ties go to the new item, matching ``_insert``'s
-                    # ``bisect_left`` placement of equal starts.
-                    if k < n_new and (i >= n_exist or items[k][0] <= bounds[2 * i]):
-                        start, end, ref = items[k]
-                        k += 1
-                    else:
-                        start = bounds[2 * i]
-                        end = bounds[2 * i + 1]
-                        ref = refs[i]
-                        i += 1
-                    if prev_end > start + eps:
-                        # Existing reservations never overlap each other,
-                        # so one side of this pair is a replayed item.
-                        self._replay_conflict(reservations, base, ref, prev_ref)
-                    merged_bounds.append(start)
-                    merged_bounds.append(end)
-                    merged_refs.append(ref)
-                    prev_end = end
-                    prev_ref = ref
-                staged.append((table_b, table_r, port, merged_bounds, merged_refs, False))
-        # Apply: nothing above mutated the table, so a conflict left it
-        # intact and this loop cannot fail.
-        for table_b, table_r, port, new_bounds, new_refs, append in staged:
-            bounds = table_b.get(port)
-            if bounds is None:
-                table_b[port] = new_bounds
-                table_r[port] = new_refs
-            elif append:
-                bounds.extend(new_bounds)
-                table_r[port].extend(new_refs)
-            else:
-                bounds[:] = new_bounds
-                table_r[port][:] = new_refs
-        self._reservations.extend(reservations)
-        ends = self._ends
-        for reservation in reservations:
-            ends.append(reservation.end)
-        self._ends_sorted = None
-
-    def _replay_conflict(
-        self,
-        replayed: Sequence[Reservation],
-        base: int,
-        ref: int,
-        prev_ref: int,
-    ) -> None:
-        """Materialize both sides of a replay overlap for the error."""
-
-        def side(journal_ref: int) -> Reservation:
-            if journal_ref >= base:
-                return replayed[journal_ref - base]
-            return self._reservations[journal_ref]
-
-        cur = side(ref)
-        if prev_ref < 0:
-            raise PortConflictError(f"{cur} overlaps an existing reservation")
-        prev = side(prev_ref)
-        new = cur if ref >= base else prev
-        other = prev if new is cur else cur
-        raise PortConflictError(f"{new} overlaps existing {other}")
+        token = self.checkpoint()
+        try:
+            for reservation in reservations:
+                self._insert(reservation)
+        except PortConflictError:
+            self.rollback(token)
+            raise
 
     # ------------------------------------------------------------------
     # Checkpoint / rollback
@@ -612,85 +451,31 @@ class PortReservationTable:
 
     def rollback(self, token: int) -> int:
         """Undo all reservations made after ``checkpoint()`` returned
-        ``token`` (most recent first).  Returns the number undone.
-
-        The end-time column is in journal order, so the whole undone
-        suffix is dropped with one slice deletion instead of a bisect +
-        ``del`` per reservation.
-        """
+        ``token`` (most recent first).  Returns the number undone."""
         journal = self._reservations
         if token < 0 or token > len(journal):
             raise ValueError(
                 f"invalid checkpoint token {token} for table of {len(journal)}"
             )
         undone = len(journal) - token
-        if not undone:
-            return 0
-        if undone <= 4:
-            for idx in range(len(journal) - 1, token - 1, -1):
-                reservation = journal[idx]
-                self._remove_from_port(
-                    self._in_bounds[reservation.src],
-                    self._in_refs[reservation.src],
-                    reservation.start,
-                    idx,
-                )
-                self._remove_from_port(
-                    self._out_bounds[reservation.dst],
-                    self._out_refs[reservation.dst],
-                    reservation.start,
-                    idx,
-                )
-        else:
-            # Batched path: count how many undone reservations sit on each
-            # port side, then strip each port once — one slice deletion
-            # when the suffix is a pure tail, one rebuilding filter pass
-            # otherwise — instead of a bisect + mid-array ``del`` per
-            # reservation.
-            in_counts: Dict[int, int] = {}
-            out_counts: Dict[int, int] = {}
-            for idx in range(token, len(journal)):
-                reservation = journal[idx]
-                src = reservation.src
-                dst = reservation.dst
-                in_counts[src] = in_counts.get(src, 0) + 1
-                out_counts[dst] = out_counts.get(dst, 0) + 1
-            for port, count in in_counts.items():
-                self._strip_port(
-                    self._in_bounds[port], self._in_refs[port], token, count
-                )
-            for port, count in out_counts.items():
-                self._strip_port(
-                    self._out_bounds[port], self._out_refs[port], token, count
-                )
+        for idx in range(len(journal) - 1, token - 1, -1):
+            reservation = journal[idx]
+            self._remove_from_port(
+                self._in_bounds[reservation.src],
+                self._in_refs[reservation.src],
+                reservation.start,
+                idx,
+            )
+            self._remove_from_port(
+                self._out_bounds[reservation.dst],
+                self._out_refs[reservation.dst],
+                reservation.start,
+                idx,
+            )
         del journal[token:]
         del self._ends[token:]
         self._ends_sorted = None
         return undone
-
-    @staticmethod
-    def _strip_port(bounds: array, refs: array, token: int, count: int) -> None:
-        """Drop the ``count`` entries with journal ref >= ``token``."""
-        n = len(refs)
-        j = n
-        while j and refs[j - 1] >= token:
-            j -= 1
-        if n - j == count:
-            # All undone entries form a contiguous tail (the common case:
-            # later reservations usually extend the timeline rightwards).
-            del refs[j:]
-            del bounds[2 * j :]
-            return
-        new_bounds = array("d")
-        new_refs = array("q")
-        for i in range(n):
-            ref = refs[i]
-            if ref < token:
-                new_refs.append(ref)
-                new_bounds.append(bounds[2 * i])
-                new_bounds.append(bounds[2 * i + 1])
-        bounds[:] = new_bounds
-        refs[:] = new_refs
 
     @staticmethod
     def _remove_from_port(

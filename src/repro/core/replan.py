@@ -43,10 +43,6 @@ class ActiveCoflow:
     )
     #: Circuit establishments (setup-paying reservations) begun so far.
     switching_count: int = 0
-    #: Memoized ``CoflowView.bottleneck`` over the current ``remaining``.
-    #: Every write to ``remaining`` resets it to None; the planner
-    #: recomputes on demand.
-    bottleneck_cache: Optional[float] = None
 
     @property
     def done(self) -> bool:
@@ -85,10 +81,6 @@ class InterCoflowPlanner:
         self.priority_classes = priority_classes or {}
         self.perf = perf if perf is not None else PerfCounters()
         scheduler.perf = self.perf
-        #: Per-Coflow view cache for ``_ordered_ids``: ``cid -> (state,
-        #: view)``.  The state reference guards against a caller replanning
-        #: a different state object under a known id.
-        self._views: Dict[int, Tuple[ActiveCoflow, CoflowView]] = {}
 
     def plan(
         self, active: Mapping[int, ActiveCoflow], now: float
@@ -130,50 +122,25 @@ class InterCoflowPlanner:
         )
         return schedules
 
-    def forget(self, coflow_id: int) -> None:
-        """Drop the cached view of a Coflow that left the active set."""
-        self._views.pop(coflow_id, None)
-
     # ------------------------------------------------------------------
     def _ordered_ids(self, active: Mapping[int, ActiveCoflow]) -> List[int]:
         """Active Coflow ids in the policy's priority order.
 
-        The per-Coflow :class:`~repro.core.policies.CoflowView` is cached
-        across calls with write-site invalidation: a view survives until
-        its Coflow's ``remaining`` is written (``bottleneck_cache`` reset —
-        the same signal the SEBF bottleneck memo uses).  Cache state is
-        keyed by the state object's identity, so a view over the wrong
-        ``remaining`` mapping is never read.
+        One fresh :class:`~repro.core.policies.CoflowView` per active
+        Coflow over the demand it holds now, so the order always reflects
+        the latest writes to ``remaining``; the policy reads each view's
+        bottleneck at most once.
         """
-        cache = self._views
         priority_classes = self.priority_classes
-        views: List[CoflowView] = []
-        for cid, state in active.items():
-            entry = cache.get(cid)
-            if entry is None or entry[0] is not state:
-                view = CoflowView(
-                    coflow_id=cid,
-                    arrival_time=state.coflow.arrival_time,
-                    remaining_times=state.remaining,
-                    priority_class=priority_classes.get(cid, 0),
-                    bottleneck_hint=state.bottleneck_cache,
-                )
-                cache[cid] = (state, view)
-            else:
-                view = entry[1]
-            if state.bottleneck_cache is None:
-                # Memoize for the next call: ``remaining`` writes reset
-                # the cache, so the hint is always the exact recompute.
-                view.bottleneck_hint = None
-                state.bottleneck_cache = view.bottleneck_hint = view.bottleneck
-            elif view.bottleneck_hint is None:
-                view.bottleneck_hint = state.bottleneck_cache
-            views.append(view)
-        if len(cache) > len(views):
-            # Coflows left without forget(); prune so the view cache stays
-            # O(active).
-            for cid in [cid for cid in cache if cid not in active]:
-                del cache[cid]
+        views = [
+            CoflowView(
+                coflow_id=cid,
+                arrival_time=state.coflow.arrival_time,
+                remaining_times=state.remaining,
+                priority_class=priority_classes.get(cid, 0),
+            )
+            for cid, state in active.items()
+        ]
         return [view.coflow_id for view in self.policy.order(views)]
 
     def _guard_horizon(self, active: Mapping[int, ActiveCoflow], now: float) -> float:

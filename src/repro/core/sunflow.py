@@ -37,12 +37,11 @@ import bisect
 import enum
 import heapq
 from array import array
-import math
 import operator
 import random
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 # planner_backend and native_planner_available are re-exported: callers,
 # the repository benchmark among them, probe them on this module.
@@ -119,37 +118,35 @@ class CoflowSchedule:
         return self.completion_time - self.start_time
 
 
-#: Circuits already configured for a Coflow at the schedule origin: either
-#: a set (setup complete), a mapping ``circuit -> remaining setup seconds``,
-#: or a mapping ``circuit -> (remaining setup, anchor end)`` where the
-#: anchor is the absolute end time the circuit's continuation was already
-#: planned to reach.  The anchor lets a replan reproduce the prior plan's
-#: end *bitwise* (``now + (σ + remaining)`` re-associates floating point),
-#: so a circuit continued across replans keeps the exact end its first
-#: plan gave it.
-EstablishedCircuits = Union[
-    FrozenSet[Tuple[int, int]],
-    Set[Tuple[int, int]],
-    Mapping[Tuple[int, int], float],
-    Mapping[Tuple[int, int], Tuple[float, float]],
-]
+#: Circuits already configured for a Coflow at the schedule origin, as
+#: ``circuit -> (remaining setup seconds, anchor end or None)``.  0
+#: remaining setup means the circuit is live; the anchor is the absolute
+#: end time the circuit's continuation was already planned to reach.  It
+#: lets a replan reproduce the prior plan's end *bitwise* (``now + (σ +
+#: remaining)`` re-associates floating point), so a circuit continued
+#: across replans keeps the exact end its first plan gave it.
+EstablishedCircuits = Dict[Tuple[int, int], Tuple[float, Optional[float]]]
 
 
-def _normalize_established(
-    established: Optional[EstablishedCircuits],
-) -> Dict[Tuple[int, int], Tuple[float, Optional[float]]]:
-    """Normalize to ``{circuit: (remaining setup, anchor end or None)}``."""
+def _check_established(
+    index: int, established: Optional[EstablishedCircuits], entries: List["_Entry"]
+) -> None:
+    """Raise ``TypeError`` for a malformed batch item's ``established``,
+    as the compiled kernel does before it touches the table: it must be
+    a ``dict`` (or empty), and its value for every demanded circuit a
+    ``(setup_left, anchor)`` pair."""
     if not established:
-        return {}
-    if isinstance(established, Mapping):
-        normalized: Dict[Tuple[int, int], Tuple[float, Optional[float]]] = {}
-        for circuit, value in established.items():
-            if isinstance(value, tuple):
-                normalized[circuit] = (value[0], value[1])
-            else:
-                normalized[circuit] = (float(value), None)
-        return normalized
-    return {circuit: (0.0, None) for circuit in established}
+        return
+    if not isinstance(established, dict):
+        raise TypeError(f"batch item {index}: established must be a dict or None")
+    for circuit, value in established.items():
+        if not (isinstance(value, tuple) and len(value) == 2) and any(
+            (entry.src, entry.dst) == circuit for entry in entries
+        ):
+            raise TypeError(
+                f"batch item {index}: established values must be "
+                "(setup_left, anchor) pairs"
+            )
 
 
 class _Entry:
@@ -191,16 +188,15 @@ def make_entries(
     rng: random.Random,
     *,
     eps: float = TIME_EPS,
-    quantize: Optional[Callable[[float], float]] = None,
 ) -> List[_Entry]:
     """Demand entries in consideration order — the shared packing helper.
 
     Both the single-switch :class:`SunflowScheduler` and the K-core
     :class:`repro.core.multicore.MultiCoreSunflowScheduler` delegate here
-    (the latter with its byte-denominated ``eps`` and no quantizer), so
-    every planner rides the same fast paths:
+    (the latter with its byte-denominated ``eps``), so every planner rides
+    the same fast paths:
 
-    * ``ORDERED_PORT`` with no quantizer and a valid
+    * ``ORDERED_PORT`` over a valid
       :class:`~repro.core.demand.PackedDemand` reads the pre-sorted
       packed columns — no per-plan sort at all;
     * ``ORDERED_PORT`` over a plain mapping sorts the raw dict items
@@ -208,7 +204,7 @@ def make_entries(
     * the remaining orders build entries first, then sort (``RANDOM``
       shuffles the canonical order so rng streams stay reproducible).
     """
-    if order is ReservationOrder.ORDERED_PORT and quantize is None:
+    if order is ReservationOrder.ORDERED_PORT:
         entries = []
         index = 0
         if isinstance(demand_times, PackedDemand) and demand_times.packed_ok:
@@ -226,22 +222,12 @@ def make_entries(
                 index += 1
                 entries.append(entry)
         return entries
-    if quantize is None:
-        entries = [
-            _Entry(src, dst, p)
-            for (src, dst), p in demand_times.items()
-            if p > eps
-        ]
-    else:
-        # Rounding can take a sliver of demand to zero; the compiled
-        # kernel skips such entries, so the Python loop must too.
-        quantized = (
-            (src, dst, quantize(p)) for (src, dst), p in demand_times.items() if p > eps
-        )
-        entries = [_Entry(src, dst, q) for src, dst, q in quantized if q > eps]
-    if order is ReservationOrder.ORDERED_PORT:
-        entries.sort(key=lambda e: (e.src, e.dst))
-    elif order is ReservationOrder.RANDOM:
+    entries = [
+        _Entry(src, dst, p)
+        for (src, dst), p in demand_times.items()
+        if p > eps
+    ]
+    if order is ReservationOrder.RANDOM:
         entries.sort(key=lambda e: (e.src, e.dst))  # canonical base order
         rng.shuffle(entries)
     elif order is ReservationOrder.SORTED_DEMAND:
@@ -261,13 +247,6 @@ class SunflowScheduler:
         order: demand-consideration order (see :class:`ReservationOrder`).
         rng: random source for :attr:`ReservationOrder.RANDOM`; a fresh
             seeded generator is created if omitted, so runs are repeatable.
-        quantum: optional approximation knob from §6 — demand processing
-            times are rounded *up* to a multiple of ``quantum`` seconds
-            before scheduling.  Rounded-up reservations end on a coarse
-            grid, so many circuit-release events coincide and the
-            scheduling loop runs fewer iterations, at the cost of some
-            reserved-but-idle circuit time (the paper: "approximation …
-            could reduce the optimality of the resulting schedules").
     """
 
     def __init__(
@@ -275,15 +254,11 @@ class SunflowScheduler:
         delta: float = DEFAULT_DELTA,
         order: ReservationOrder = ReservationOrder.ORDERED_PORT,
         rng: Optional[random.Random] = None,
-        quantum: Optional[float] = None,
     ) -> None:
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta!r}")
-        if quantum is not None and quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
         self.delta = delta
         self.order = order
-        self.quantum = quantum
         self._rng = rng if rng is not None else random.Random(0)
         #: Optional :class:`~repro.perf.PerfCounters` sink for the
         #: ``plan.pack`` / ``plan.kernel`` sub-timers; the inter-Coflow
@@ -300,7 +275,7 @@ class SunflowScheduler:
         coflow_id: int,
         demand_times: Mapping[Tuple[int, int], float],
         start_time: float = 0.0,
-        established: "EstablishedCircuits" = frozenset(),
+        established: Optional[EstablishedCircuits] = None,
     ) -> CoflowSchedule:
         """Reserve circuits on ``prt`` for one Coflow's remaining demand.
 
@@ -314,11 +289,10 @@ class SunflowScheduler:
             start_time: scheduling clock origin ``t0`` (e.g. the Coflow's
                 arrival, or "now" when replanning).
             established: circuits physically configured (or mid-setup) for
-                *this Coflow's flows* at ``start_time``.  Either a set of
-                circuits (setup fully complete) or a mapping ``circuit →
-                remaining setup seconds``; a reservation starting exactly at
-                ``start_time`` on such a circuit pays only the remaining
-                setup instead of a full ``δ``.
+                *this Coflow's flows* at ``start_time``, as
+                :data:`EstablishedCircuits` (or None); a reservation
+                starting exactly at ``start_time`` on such a circuit pays
+                only the remaining setup instead of a full ``δ``.
 
         Returns:
             The reservations planned for this Coflow.
@@ -336,42 +310,43 @@ class SunflowScheduler:
         prt: PortReservationTable,
         start_time: float,
         batch: Sequence[
-            Tuple[int, Mapping[Tuple[int, int], float], EstablishedCircuits, List[Reservation]]
+            Tuple[
+                int,
+                Mapping[Tuple[int, int], float],
+                Optional[EstablishedCircuits],
+                List[Reservation],
+            ]
         ],
     ) -> None:
         """Plan ``(coflow_id, demand_times, established, out_reservations)``
         items in priority order on ``prt``, appending each Coflow's
         reservations to its ``out_reservations``.
 
-        Every item is packed before the first reservation, so a malformed
-        demand raises with the table untouched.  The compiled kernel then
-        plans the whole batch in one call; the Python loop plans it item
-        by item.
+        Every item is packed and checked before the first reservation, so
+        a malformed demand or ``established`` raises with the table
+        untouched.  The compiled kernel then plans the whole batch in one
+        call; the Python loop plans it item by item.
         """
         perf = self.perf
         native = native_module()
         t0 = perf_counter()
         if native is not None:
-            packed = []
-            for coflow_id, demand_times, established, out in batch:
-                established = _normalize_established(established)
-                packed.append(
-                    (coflow_id, *self._columns(demand_times), established or None, out)
-                )
+            # An empty ``established`` goes in as None: the kernel then
+            # skips the per-entry lookups.
+            packed = [
+                (coflow_id, *self._columns(demand_times), established or None, out)
+                for coflow_id, demand_times, established, out in batch
+            ]
             t1 = perf_counter()
             native.schedule_many_packed(
                 prt, Reservation, start_time, self.delta, TIME_EPS, packed
             )
         else:
-            packed = [
-                (
-                    coflow_id,
-                    self._make_entries(demand_times),
-                    _normalize_established(established),
-                    out,
-                )
-                for coflow_id, demand_times, established, out in batch
-            ]
+            packed = []
+            for index, (coflow_id, demand_times, established, out) in enumerate(batch):
+                entries = self._make_entries(demand_times)
+                _check_established(index, established, entries)
+                packed.append((coflow_id, entries, established, out))
             t1 = perf_counter()
             for coflow_id, entries, established, out in packed:
                 if entries:
@@ -386,7 +361,7 @@ class SunflowScheduler:
         coflow_id: int,
         entries: "List[_Entry]",
         start_time: float,
-        established: Mapping[Tuple[int, int], Tuple[float, Optional[float]]],
+        established: Optional[EstablishedCircuits],
         reservations: List[Reservation],
     ) -> None:
         """The event-driven scheduling loop (pure-Python backend).
@@ -766,7 +741,7 @@ class SunflowScheduler:
         demands: Sequence[Tuple[int, Mapping[Tuple[int, int], float]]],
         start_time: float = 0.0,
         prt: Optional[PortReservationTable] = None,
-        established: Optional[Mapping[int, "EstablishedCircuits"]] = None,
+        established: Optional[Mapping[int, EstablishedCircuits]] = None,
     ) -> Tuple[PortReservationTable, Dict[int, CoflowSchedule]]:
         """Schedule several Coflows, highest priority first, on one PRT.
 
@@ -798,7 +773,7 @@ class SunflowScheduler:
                 (
                     coflow_id,
                     demand_times,
-                    established.get(coflow_id, frozenset()),
+                    established.get(coflow_id),
                     schedule.reservations,
                 )
             )
@@ -820,18 +795,12 @@ class SunflowScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _quantize(self, seconds: float) -> float:
-        """Round a processing time up to the §6 approximation grid."""
-        if self.quantum is None:
-            return seconds
-        return math.ceil(seconds / self.quantum - TIME_EPS) * self.quantum
-
     def _columns(
         self, demand_times: Mapping[Tuple[int, int], float]
     ) -> Tuple[array, array, array]:
         """``(srcs, dsts, vals)`` columns in consideration order for the
         compiled kernel, which skips entries at or below ``TIME_EPS``."""
-        if self.order is ReservationOrder.ORDERED_PORT and self.quantum is None:
+        if self.order is ReservationOrder.ORDERED_PORT:
             if isinstance(demand_times, PackedDemand) and demand_times.packed_ok:
                 # Sorted once at admission: no per-plan packing at all.
                 return demand_times.columns
@@ -855,9 +824,4 @@ class SunflowScheduler:
     def _make_entries(
         self, demand_times: Mapping[Tuple[int, int], float]
     ) -> List[_Entry]:
-        return make_entries(
-            demand_times,
-            self.order,
-            self._rng,
-            quantize=None if self.quantum is None else self._quantize,
-        )
+        return make_entries(demand_times, self.order, self._rng)

@@ -84,6 +84,29 @@ class AssignmentSchedule:
         )
 
 
+def top_up(
+    assignments: List[Assignment],
+    demand_times: Mapping[Circuit, float],
+    tolerance: float,
+) -> AssignmentSchedule:
+    """Close a decomposition's numerical shortfalls with dedicated slots.
+
+    Appends one single-circuit assignment for every demand entry above
+    ``tolerance`` that ``assignments`` serve more than ``tolerance``
+    seconds short.  The slots go last, and an executor stops once the
+    real demand drains, so a schedule that covered its demand without
+    them runs exactly as before.
+    """
+    service = AssignmentSchedule(assignments=assignments).service_per_circuit()
+    for circuit, seconds in demand_times.items():
+        shortfall = seconds - service.get(circuit, 0.0)
+        if seconds > tolerance and shortfall > tolerance:
+            assignments.append(
+                Assignment(circuits=(circuit,), duration=shortfall * (1 + 1e-9))
+            )
+    return AssignmentSchedule(assignments=assignments)
+
+
 class AssignmentScheduler(abc.ABC):
     """A single-demand-matrix circuit scheduler (the baseline family)."""
 

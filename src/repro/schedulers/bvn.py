@@ -30,6 +30,7 @@ from repro.schedulers.base import (
     AssignmentScheduler,
     Circuit,
     compact_demand,
+    top_up,
 )
 
 _ZERO = 1e-12
@@ -68,15 +69,7 @@ class BvnScheduler(AssignmentScheduler):
 
         # BvN's numerical drain can leave a ≤1e-6-relative crumb; top it up
         # so executors always finish (same safety net as TMS).
-        schedule = AssignmentSchedule(assignments=assignments)
-        service = schedule.service_per_circuit()
-        for (src, dst), seconds in demand_times.items():
-            shortfall = seconds - service.get((src, dst), 0.0)
-            if seconds > _ZERO and shortfall > _ZERO:
-                assignments.append(
-                    Assignment(circuits=((src, dst),), duration=shortfall * (1 + 1e-9))
-                )
-        return AssignmentSchedule(assignments=assignments)
+        return top_up(assignments, demand_times, _ZERO)
 
     def _terms(self, matrix: np.ndarray) -> List[BvnTerm]:
         """QuickStuff, then the exact BvN terms (none for a zero matrix)."""

@@ -12,9 +12,11 @@ Solstice is the strongest preemptive baseline in the paper.  Two stages:
 
 The geometric threshold schedule leaves a fine-grained tail; we drain it
 with an exact Birkhoff–von-Neumann decomposition once ``r`` falls below the
-smallest positive entry, so the emitted schedule covers the demand exactly.
-This mirrors Solstice's long tail of short slots (and is what produces the
-many switching events Figure 5 counts).
+smallest positive entry.  This mirrors Solstice's long tail of short slots
+(and is what produces the many switching events Figure 5 counts).  BigSlice
+treats residuals below ``peak × 1e-9`` as drained, which can leave a real
+entry a few nanoseconds short of its demand; a final top-up slot per such
+entry makes every emitted schedule cover its demand within ``TIME_EPS``.
 
 The pipeline runs on the numpy kernel layer (:mod:`repro.kernels`) —
 demand stays a ``float64`` ndarray from :func:`compact_demand` through
@@ -28,6 +30,7 @@ from typing import List, Mapping
 
 import numpy as np
 
+from repro.core.prt import TIME_EPS
 from repro.kernels.decomposition import birkhoff_von_neumann as _bvn_kernel
 from repro.kernels.matching import matching_from_matrix as _matching_kernel
 from repro.kernels.matrix import quick_stuff as _quick_stuff_kernel
@@ -38,6 +41,7 @@ from repro.schedulers.base import (
     AssignmentScheduler,
     Circuit,
     compact_demand,
+    top_up,
 )
 
 #: Entries below this fraction of the largest entry are treated as drained.
@@ -69,14 +73,13 @@ class SolsticeScheduler(AssignmentScheduler):
         matrix, src_labels, dst_labels = compact_demand(demand_times)
         if matrix.size == 0:
             return AssignmentSchedule(assignments=[])
-        assignments = self._slices(matrix)
-        scheduler_counters.inc("slices_emitted", len(assignments))
-        return AssignmentSchedule(
-            assignments=[
-                _relabel(assignment, src_labels, dst_labels)
-                for assignment in assignments
-            ]
-        )
+        assignments = [
+            _relabel(assignment, src_labels, dst_labels)
+            for assignment in self._slices(matrix)
+        ]
+        schedule = top_up(assignments, demand_times, TIME_EPS)
+        scheduler_counters.inc("slices_emitted", schedule.num_assignments)
+        return schedule
 
     def _slices(self, matrix: np.ndarray) -> List[Assignment]:
         """QuickStuff + BigSlice over the compact demand matrix."""
@@ -139,7 +142,13 @@ def _bvn_tail_kernel(work: np.ndarray, zero: float) -> List[Assignment]:
     residual_total = sum(sum(row) for row in work.tolist())
     if residual_total <= zero:
         return []
-    terms = _bvn_kernel(work)
+    try:
+        terms = _bvn_kernel(work)
+    except ValueError:
+        # Each BigSlice clamp moves a line sum by up to ``zero``; when the
+        # drift outgrows BvN's crumb tolerance the decomposition strands,
+        # so restuff the residual to equal line sums and drain that.
+        terms = _bvn_kernel(_quick_stuff_kernel(work)[0])
     tail = []
     for term in terms:
         if term.weight > zero:

@@ -37,6 +37,7 @@ from repro.schedulers.base import (
     AssignmentScheduler,
     Circuit,
     compact_demand,
+    top_up,
 )
 
 _ZERO = 1e-12
@@ -86,15 +87,7 @@ class TmsScheduler(AssignmentScheduler):
         # Numerical safety net: the BvN loop may truncate a ≤1e-6 crumb of
         # the stochastic matrix; top up any real demand left uncovered with
         # a dedicated slot so executors always finish.
-        schedule = AssignmentSchedule(assignments=assignments)
-        service = schedule.service_per_circuit()
-        for (src, dst), seconds in demand_times.items():
-            shortfall = seconds - service.get((src, dst), 0.0)
-            if seconds > _ZERO and shortfall > _ZERO:
-                assignments.append(
-                    Assignment(circuits=((src, dst),), duration=shortfall * (1 + 1e-9))
-                )
-        return AssignmentSchedule(assignments=assignments)
+        return top_up(assignments, demand_times, _ZERO)
 
     def _decompose(self, matrix: np.ndarray) -> Tuple[list, float]:
         """Sinkhorn + BvN + week stretch over ndarrays."""

@@ -246,7 +246,6 @@ class InterCoflowSimulator:
                 if served > 0:
                     left = state.remaining.get(circuit, 0.0) - served
                     state.remaining[circuit] = max(0.0, left)
-                    state.bottleneck_cache = None
                 # A reconfiguration that began before the event counts as a
                 # switching event even if the plan is later discarded.
                 if reservation.setup > 0:
@@ -286,7 +285,6 @@ class InterCoflowSimulator:
                 for state in sharers:
                     left = state.remaining[(src, dst)] - share
                     state.remaining[(src, dst)] = max(0.0, left)
-                    state.bottleneck_cache = None
 
     # ------------------------------------------------------------------
     def _record_completions(
@@ -295,7 +293,6 @@ class InterCoflowSimulator:
         finished = [cid for cid, state in active.items() if state.done]
         for cid in finished:
             state = active.pop(cid)
-            self.planner.forget(cid)
             report.add(
                 make_record(
                     state.coflow,

@@ -216,7 +216,6 @@ class SunflowController:
         )
         del self._active[coflow_id]
         self._planned.pop(coflow_id, None)
-        self.planner.forget(coflow_id)
 
     def _replan(self, now: float) -> ControllerOutput:
         """Preempt the old plan and reschedule everything from
@@ -272,7 +271,6 @@ class SunflowController:
                 value = max(0.0, left - pending)
                 if value > TIME_EPS:
                     demand[circuit] = value + ledger.retry_pad.get(circuit, 0.0)
-            ledger.bottleneck_cache = None
         schedules = self.planner.plan(active, effective)
 
         # Keep running an issued reservation the new plan reproduces bit for

@@ -13,10 +13,10 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.analysis.idleness import network_idleness
-from repro.core.coflow import Coflow, CoflowTrace
+from repro.core.coflow import Coflow, CoflowTrace, Flow
 from repro.units import MB
 
 
@@ -25,18 +25,14 @@ def perturb_sizes(
     fraction: float = 0.05,
     min_bytes: float = 1 * MB,
     seed: int = 0,
-    rng: Optional[random.Random] = None,
 ) -> CoflowTrace:
-    """Add uniform ±``fraction`` noise to every flow size, floored at ``min_bytes``."""
-    if not 0 <= fraction < 1:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction!r}")
-    source = rng if rng is not None else random.Random(seed)
+    """Add uniform ±``fraction`` noise to every flow size, floored at ``min_bytes``.
 
-    def noisy(flow) -> float:
-        factor = 1.0 + source.uniform(-fraction, fraction)
-        return max(min_bytes, flow.size_bytes * factor)
-
-    return trace.map_sizes(noisy)
+    The materialized form of :func:`perturb_sizes_iter`: one RNG walks
+    Coflows in trace order and flows in flow order.
+    """
+    coflows = list(perturb_sizes_iter(trace.coflows, fraction, min_bytes, seed))
+    return CoflowTrace(trace.num_ports, coflows)
 
 
 def perturb_sizes_iter(
@@ -45,19 +41,16 @@ def perturb_sizes_iter(
     min_bytes: float = 1 * MB,
     seed: int = 0,
 ) -> Iterator[Coflow]:
-    """Streaming twin of :func:`perturb_sizes` — O(1) memory.
+    """Streaming form of :func:`perturb_sizes` — O(1) memory.
 
     Walks one RNG over Coflows in iteration order and flows in flow order,
-    exactly as :func:`perturb_sizes` does over a materialized trace, so
-    both produce bit-identical sizes for the same Coflow sequence; the
+    so both produce bit-identical sizes for the same Coflow sequence; the
     streaming facade relies on this to keep perturbed replays comparable
     with the in-memory path.
     """
     if not 0 <= fraction < 1:
         raise ValueError(f"fraction must be in [0, 1), got {fraction!r}")
     source = random.Random(seed)
-    from repro.core.coflow import Flow
-
     for coflow in coflows:
         flows = []
         for flow in coflow.flows:

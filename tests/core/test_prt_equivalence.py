@@ -32,6 +32,10 @@ def res_key(reservation):
     )
 
 
+def release_event(reservation):
+    return (reservation.end, reservation.src, reservation.dst)
+
+
 def assert_same_state(fast, ref, rng, num_ports, horizon):
     """Exhaustively compare the two tables' observable state."""
     assert len(fast) == len(ref)
@@ -52,18 +56,16 @@ def assert_same_state(fast, ref, rng, num_ports, horizon):
             (fast.output_covering_end(q, t), ref.output_reservation_at(q, t)),
         ):
             assert fast_end == (None if ref_res is None else ref_res.end)
-        assert [res_key(r) for r in fast.input_releases_after(p, t)] == [
-            res_key(r) for r in ref.input_releases_after(p, t)
-        ]
-        assert [res_key(r) for r in fast.output_releases_after(q, t)] == [
-            res_key(r) for r in ref.output_releases_after(q, t)
-        ]
-        assert [res_key(r) for r in fast.reservations_for_input(p)] == [
-            res_key(r) for r in ref.reservations_for_input(p)
-        ]
-        assert [res_key(r) for r in fast.reservations_for_output(q)] == [
-            res_key(r) for r in ref.reservations_for_output(q)
-        ]
+        # The planner's release-event seeds, read off the reference's
+        # per-port timelines as ``(end, src, dst)``; at ``-inf`` they list
+        # each port's whole timeline.
+        for at in (t, float("-inf")):
+            assert fast.release_events_for_input(p, at) == [
+                release_event(r) for r in ref.input_releases_after(p, at)
+            ]
+            assert fast.release_events_for_output(q, at) == [
+                release_event(r) for r in ref.output_releases_after(q, at)
+            ]
     fast.validate()
     ref.validate()
 

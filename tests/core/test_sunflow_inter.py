@@ -91,7 +91,7 @@ class TestEstablishedCircuits:
         scheduler = SunflowScheduler(delta=DELTA)
         prt = PortReservationTable()
         schedule = scheduler.schedule_demand(
-            prt, 1, {(0, 1): 0.5}, start_time=2.0, established=frozenset({(0, 1)})
+            prt, 1, {(0, 1): 0.5}, start_time=2.0, established={(0, 1): (0.0, None)}
         )
         assert len(schedule.reservations) == 1
         reservation = schedule.reservations[0]
@@ -105,7 +105,7 @@ class TestEstablishedCircuits:
         prt = PortReservationTable()
         prt.reserve(0, 9, start=2.0, end=3.0, coflow_id=7, setup=DELTA)
         schedule = scheduler.schedule_demand(
-            prt, 1, {(0, 1): 0.5}, start_time=2.0, established=frozenset({(0, 1)})
+            prt, 1, {(0, 1): 0.5}, start_time=2.0, established={(0, 1): (0.0, None)}
         )
         # Input 0 busy at start -> circuit starts at 3.0 and must reconfigure.
         assert schedule.reservations[0].start == pytest.approx(3.0)
@@ -119,7 +119,7 @@ class TestEstablishedCircuits:
             1,
             {(0, 1): 0.5, (2, 3): 0.5},
             start_time=0.0,
-            established=frozenset({(0, 1)}),
+            established={(0, 1): (0.0, None)},
         )
         setups = {(r.src, r.dst): r.setup for r in schedule.reservations}
         assert setups[(0, 1)] == 0.0

@@ -1,53 +1,59 @@
-"""Tests for the §6 quantized-scheduling approximation."""
+"""Tests for the §6 quantized-scheduling approximation.
 
-import random
+Quantization only pays in the literal Algorithm 1 loop, so it lives on
+the literal-loop oracle: these tests drive
+``ReferenceSunflowScheduler.schedule_demand_reference``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import circuit_lower_bound
 from repro.core.coflow import Coflow
 from repro.core.prt import PortReservationTable
 from repro.core.sunflow import SunflowScheduler
 from repro.units import GBPS, MB
+from tests.oracles.sunflow_reference import ReferenceSunflowScheduler
 
 B = 1 * GBPS
 DELTA = 0.01
 
 
+def literal_plan(demand, quantum=None):
+    scheduler = ReferenceSunflowScheduler(delta=DELTA, quantum=quantum)
+    return scheduler.schedule_demand_reference(PortReservationTable(), 1, dict(demand))
+
+
 class TestConstruction:
     def test_quantum_validated(self):
         with pytest.raises(ValueError):
-            SunflowScheduler(quantum=0.0)
+            ReferenceSunflowScheduler(quantum=0.0)
         with pytest.raises(ValueError):
-            SunflowScheduler(quantum=-1.0)
+            ReferenceSunflowScheduler(quantum=-1.0)
 
     def test_none_means_exact(self):
-        scheduler = SunflowScheduler(delta=DELTA)
+        scheduler = ReferenceSunflowScheduler(delta=DELTA)
         assert scheduler.quantum is None
+
+    def test_production_planner_has_no_quantum(self):
+        with pytest.raises(TypeError):
+            SunflowScheduler(delta=DELTA, quantum=0.1)
 
 
 class TestRounding:
     def test_demand_rounded_up_to_grid(self):
-        scheduler = SunflowScheduler(delta=DELTA, quantum=0.1)
-        schedule = scheduler.schedule_demand(PortReservationTable(), 1, {(0, 1): 0.25})
+        schedule = literal_plan({(0, 1): 0.25}, quantum=0.1)
         reservation = schedule.reservations[0]
         assert reservation.transmit_duration == pytest.approx(0.3)
 
     def test_exact_multiples_unchanged(self):
-        scheduler = SunflowScheduler(delta=DELTA, quantum=0.1)
-        schedule = scheduler.schedule_demand(PortReservationTable(), 1, {(0, 1): 0.3})
+        schedule = literal_plan({(0, 1): 0.3}, quantum=0.1)
         assert schedule.reservations[0].transmit_duration == pytest.approx(0.3)
 
     def test_quantized_cct_never_shorter(self):
         demand = {(0, 1): 0.123, (0, 2): 0.456, (1, 2): 0.789}
-        exact = SunflowScheduler(delta=DELTA).schedule_demand(
-            PortReservationTable(), 1, dict(demand)
-        )
-        rounded = SunflowScheduler(delta=DELTA, quantum=0.1).schedule_demand(
-            PortReservationTable(), 1, dict(demand)
-        )
+        exact = literal_plan(demand)
+        rounded = literal_plan(demand, quantum=0.1)
         assert rounded.makespan >= exact.makespan - 1e-9
 
     def test_overhead_bounded_by_one_quantum_per_flow(self):
@@ -55,12 +61,8 @@ class TestRounding:
         so CCT grows by at most quantum × (flows on the bottleneck port)."""
         demand = {(0, j): 0.123 for j in range(1, 6)}
         quantum = 0.05
-        exact = SunflowScheduler(delta=DELTA).schedule_demand(
-            PortReservationTable(), 1, dict(demand)
-        )
-        rounded = SunflowScheduler(delta=DELTA, quantum=quantum).schedule_demand(
-            PortReservationTable(), 1, dict(demand)
-        )
+        exact = literal_plan(demand)
+        rounded = literal_plan(demand, quantum=quantum)
         assert rounded.makespan <= exact.makespan + quantum * len(demand) + 1e-9
 
 
@@ -85,17 +87,11 @@ class TestGuaranteesSurviveQuantization:
         for src, dst, mb in entries:
             demand[(src, dst)] = mb * MB
         coflow = Coflow.from_demand(1, demand)
-        scheduler = SunflowScheduler(delta=DELTA, quantum=quantum)
-        schedule = scheduler.schedule_coflow(coflow, B, start_time=0.0)
-        rounded_times = {
-            circuit: scheduler._quantize(p)
-            for circuit, p in coflow.processing_times(B).items()
-        }
-        rounded_bound = max(
-            sum(p + DELTA for (s, d), p in rounded_times.items() if s == src)
-            for src in {s for s, _ in rounded_times}
-        )
-        # Build the rounded Coflow's circuit bound on both port sides.
+        scheduler = ReferenceSunflowScheduler(delta=DELTA, quantum=quantum)
+        times = coflow.processing_times(B)
+        schedule = scheduler.schedule_demand_reference(PortReservationTable(), 1, times)
+        rounded_times = {circuit: scheduler._quantize(p) for circuit, p in times.items()}
+        # The rounded Coflow's circuit bound on both port sides.
         from collections import defaultdict
 
         loads = defaultdict(float)

@@ -321,6 +321,38 @@ def test_schedules_equivalent_across_backends(name, seed):
     assert kernel.covers(demand)
 
 
+@pytest.mark.parametrize(
+    "demand",
+    [
+        # BigSlice clamps a ~6.9 ns residual on (0, 1) to zero.
+        {
+            (0, 2): 1.0355005354621292,
+            (0, 0): 1.0,
+            (2, 0): 0.9865868962209149,
+            (0, 1): 0.001,
+            (2, 1): 4.963976132313911,
+            (1, 1): 3.0,
+        },
+        # The clamps' line-sum drift strands BvN on the residual.
+        {
+            (0, 2): 2.035500535462129,
+            (0, 0): 1.0,
+            (1, 0): 0.9865868962209149,
+            (0, 1): 0.001,
+            (1, 1): 4.963976132313911,
+            (1, 2): 4.0,
+        },
+    ],
+    ids=["clamp-shortfall", "stranded-tail"],
+)
+def test_solstice_tolerance_repairs_match_oracle(demand):
+    """The top-up and the restuffed tail run identically down both paths."""
+    kernel = _run("solstice", demand, 3)
+    reference = _run("solstice", demand, 3, oracle=True)
+    assert kernel.assignments == reference.assignments
+    assert kernel.covers(demand)
+
+
 def test_solstice_covers_demand_exactly():
     """Kernel Solstice schedules cover every demand entry (hypothesis-free
     spot grid on top of the seeded equivalence sweep)."""

@@ -13,7 +13,7 @@ Covered surfaces:
 * hypothesis fuzz over dense/sparse demands, pre-blocked ports, and
   established-circuit continuations (setup remainders + anchors);
 * the RANDOM reservation-order bypass (same-seeded rng streams must
-  stay synchronized across backends) and SORTED_DEMAND + quantum;
+  stay synchronized across backends) and SORTED_DEMAND;
 * ``schedule_many`` batches of two to six Coflows with established
   continuations on a table pre-filled by blockers, at δ ∈ {0, 1 ms,
   10 ms}: the kernel's ``schedule_many_packed`` plans each batch in one
@@ -21,9 +21,10 @@ Covered surfaces:
 * the same entry on a ``PackedDemand``'s own columns vs columns built per
   plan from a plain mapping and vs the Python loop, including in-place
   value patches, a key added after packing, a demand that filters down
-  to nothing, and quantized demand rounded to zero;
+  to nothing, and an entry at or below ``TIME_EPS``;
 * malformed batches, which must raise before the table is touched, and
-  an error mid-plan, which must leave what was planned;
+  an error mid-plan, which must leave what was planned; a malformed
+  ``established`` raises before any write on both backends;
 * the compiled ordering scan, ``port_bottleneck``, against
   ``CoflowView.bottleneck``'s Python loop, including every input it
   declines;
@@ -165,25 +166,13 @@ class TestDifferentialFuzz:
         assert results[0] == results[1]
 
     @_FUZZ
-    @given(demand=_DEMAND, quantum=st.one_of(st.none(), st.floats(0.001, 0.1)))
-    def test_sorted_demand_with_quantum(self, demand, quantum):
+    @given(demand=_DEMAND)
+    def test_sorted_demand(self, demand):
         py = _plan_once(
-            "python",
-            demand,
-            None,
-            None,
-            0.0,
-            order=ReservationOrder.SORTED_DEMAND,
-            quantum=quantum,
+            "python", demand, None, None, 0.0, order=ReservationOrder.SORTED_DEMAND
         )
         nat = _plan_once(
-            "native",
-            demand,
-            None,
-            None,
-            0.0,
-            order=ReservationOrder.SORTED_DEMAND,
-            quantum=quantum,
+            "native", demand, None, None, 0.0, order=ReservationOrder.SORTED_DEMAND
         )
         assert py == nat
 
@@ -409,16 +398,15 @@ class TestScheduleDemandPacked:
         assert schedule.reservations == []
         assert len(prt) == 0
 
-    def test_quantized_to_zero_is_skipped(self):
-        """Rounding up to a coarse quantum takes a sliver of demand to
-        zero; both loops must then skip that entry."""
-        demand = {(0, 1): 5e-9, (1, 2): 0.25, (2, 0): 1.0}
+    def test_sub_eps_entry_is_skipped(self):
+        """An entry at or below ``TIME_EPS`` among real demand: both loops
+        must skip it and plan the rest bit for bit alike."""
+        demand = {(0, 1): TIME_EPS / 2, (1, 2): 0.25, (2, 0): 1.0}
         outcomes = []
         for backend in ("native", "python"):
             with use_backend(backend):
                 prt = PortReservationTable()
-                scheduler = SunflowScheduler(quantum=10.0)
-                schedule = scheduler.schedule_demand(prt, 1, demand)
+                schedule = SunflowScheduler().schedule_demand(prt, 1, demand)
             outcomes.append(
                 ([_res_hex(r) for r in schedule.reservations], _bitwise_state(prt))
             )
@@ -528,6 +516,39 @@ class TestMalformedBatch:
             [_good_item(1, full[0]), _good_item(2, full[1])],
         )
         assert [_res_hex(r) for r in made] == [_res_hex(r) for r in (full[0] + full[1])[:3]]
+
+
+class TestMalformedEstablished:
+    """``schedule_many`` with a malformed ``established`` raises
+    ``TypeError`` before the first reservation on either backend: the bad
+    item comes last in a batch of three, after two well-formed ones, and
+    the table is left exactly as it was."""
+
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("native", marks=needs_native)]
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(frozenset({(2, 0)}), id="set-of-circuits"),
+            pytest.param({(2, 0): 0.005}, id="bare-float-value"),
+        ],
+    )
+    def test_fails_before_any_write(self, backend, bad):
+        demands = [
+            (1, {(0, 1): 0.5, (1, 2): 0.7}),
+            (2, {(1, 0): 0.3}),
+            (3, {(2, 0): 1.0, (2, 1): 0.2}),
+        ]
+        established = {1: {(0, 1): (0.0, None)}, 2: {}, 3: bad}
+        with use_backend(backend):
+            prt = _blocked_table()
+            before = _bitwise_state(prt)
+            with pytest.raises(TypeError):
+                SunflowScheduler().schedule_many(
+                    demands, prt=prt, established=established
+                )
+        assert _bitwise_state(prt) == before
 
 
 def _bottleneck(backend, remaining):

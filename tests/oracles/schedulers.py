@@ -63,7 +63,12 @@ def _big_slice_reference(
             # the minimum matched entry, terminating with full coverage.
             residual_total = sum(sum(row) for row in work)
             if residual_total > zero:
-                for term in birkhoff_von_neumann(work):
+                try:
+                    terms = birkhoff_von_neumann(work)
+                except ValueError:
+                    # BigSlice's clamps drifted the line sums too far.
+                    terms = birkhoff_von_neumann(quick_stuff(work)[0])
+                for term in terms:
                     if term.weight > zero:
                         circuits = tuple(sorted(term.permutation.items()))
                         assignments.append(

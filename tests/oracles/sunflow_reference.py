@@ -5,26 +5,62 @@ event-driven form of Algorithm 1: entries wait in per-port queues and
 are re-attempted only when one of their own ports frees up.  The
 subclass here adds the pseudocode as printed — rescan every remaining
 entry at every circuit-release time — so property and fuzz tests can
-check the two produce identical reservations, and the quantization
-ablation can time the literal loop.
+check the two produce identical reservations.
+
+It also carries the §6 quantization approximation, which pays only in
+the literal loop (coincident releases mean fewer rescans), so
+:class:`SunflowScheduler` has no ``quantum``;
+``benchmarks/bench_ablation_extensions.py`` times the literal loop here.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Mapping, Optional, Tuple
 
 from repro.core.prt import TIME_EPS, PortReservationTable
 from repro.core.sunflow import (
     CoflowSchedule,
     EstablishedCircuits,
+    ReservationOrder,
     SunflowScheduler,
     _Entry,
-    _normalize_established,
 )
+from repro.units import DEFAULT_DELTA
 
 
 class ReferenceSunflowScheduler(SunflowScheduler):
-    """:class:`SunflowScheduler` plus the literal Algorithm 1."""
+    """:class:`SunflowScheduler` plus the literal Algorithm 1.
+
+    Args:
+        quantum: optional approximation knob from §6, applied by
+            :meth:`schedule_demand_reference` only — demand processing
+            times are rounded *up* to a multiple of ``quantum`` seconds
+            before scheduling.  Rounded-up reservations end on a coarse
+            grid, so many circuit-release events coincide and the literal
+            loop rescans at fewer instants, at the cost of some
+            reserved-but-idle circuit time (the paper: "approximation …
+            could reduce the optimality of the resulting schedules").
+    """
+
+    def __init__(
+        self,
+        delta: float = DEFAULT_DELTA,
+        order: ReservationOrder = ReservationOrder.ORDERED_PORT,
+        rng: Optional[random.Random] = None,
+        quantum: Optional[float] = None,
+    ) -> None:
+        super().__init__(delta=delta, order=order, rng=rng)
+        if quantum is not None and quantum <= 0:
+            raise ValueError(f"quantum must be positive, got {quantum!r}")
+        self.quantum = quantum
+
+    def _quantize(self, seconds: float) -> float:
+        """Round a processing time up to the §6 approximation grid."""
+        if self.quantum is None:
+            return seconds
+        return math.ceil(seconds / self.quantum - TIME_EPS) * self.quantum
 
     def schedule_demand_reference(
         self,
@@ -32,14 +68,23 @@ class ReferenceSunflowScheduler(SunflowScheduler):
         coflow_id: int,
         demand_times: Mapping[Tuple[int, int], float],
         start_time: float = 0.0,
-        established: "EstablishedCircuits" = frozenset(),
+        established: Optional[EstablishedCircuits] = None,
     ) -> CoflowSchedule:
         """Literal transcription of Algorithm 1 (quadratic rescan loop).
 
-        Produces the same reservations as :meth:`schedule_demand`; kept for
-        validation and as executable documentation of the pseudocode.
+        Without a ``quantum`` it produces the same reservations as
+        :meth:`schedule_demand`; kept for validation and as executable
+        documentation of the pseudocode.
         """
-        established = _normalize_established(established)
+        established = established or {}
+        if self.quantum is not None:
+            # Rounding can take a sliver of demand to zero; such entries
+            # are then skipped like any other demand at or below TIME_EPS.
+            demand_times = {
+                circuit: self._quantize(p)
+                for circuit, p in demand_times.items()
+                if p > TIME_EPS
+            }
         entries = self._make_entries(demand_times)
         schedule = CoflowSchedule(coflow_id=coflow_id, start_time=start_time)
         t = start_time
@@ -66,7 +111,7 @@ class ReferenceSunflowScheduler(SunflowScheduler):
         entry: _Entry,
         t: float,
         start_time: float,
-        established: Mapping[Tuple[int, int], Tuple[float, Optional[float]]],
+        established: EstablishedCircuits,
     ) -> float:
         """Algorithm 1, MakeReservation: try to reserve for one entry at ``t``.
 
